@@ -17,7 +17,7 @@ use rc_formula::generate::{random_allowed_formula, GenConfig};
 use rc_formula::transform::{applicable_rewrites, apply_at, CONSERVATIVE_RULES};
 use rc_formula::vars::{rectified, FreshVars};
 use rc_formula::{Formula, Var};
-use rc_relalg::EvalStats;
+use rc_relalg::{Budget, EvalStats, Tracer};
 use rc_safety::generator::ConjunctChoice;
 use rc_safety::pipeline::{compile_with, CompileOptions};
 
@@ -79,8 +79,12 @@ fn main() {
         }
         let mut ss = EvalStats::default();
         let mut sf = EvalStats::default();
-        let rs = cs.run_with_stats(&db, &mut ss).unwrap();
-        let rf = cf.run_with_stats(&db, &mut sf).unwrap();
+        let rs = cs
+            .run_traced(&db, &mut ss, Budget::unlimited(), &mut Tracer::off())
+            .unwrap();
+        let rf = cf
+            .run_traced(&db, &mut sf, Budget::unlimited(), &mut Tracer::off())
+            .unwrap();
         assert_eq!(rs, rf, "strategies must agree on answers (seed {seed})");
         if cs.expr.node_count() <= cf.expr.node_count() {
             wins_smaller += 1;
@@ -133,8 +137,12 @@ fn main() {
         }
         let mut sraw = EvalStats::default();
         let mut sopt = EvalStats::default();
-        let rraw = craw.run_with_stats(&db, &mut sraw).unwrap();
-        let ropt = copt.run_with_stats(&db, &mut sopt).unwrap();
+        let rraw = craw
+            .run_traced(&db, &mut sraw, Budget::unlimited(), &mut Tracer::off())
+            .unwrap();
+        let ropt = copt
+            .run_traced(&db, &mut sopt, Budget::unlimited(), &mut Tracer::off())
+            .unwrap();
         assert_eq!(
             rraw, ropt,
             "simplifier must not change answers (seed {seed})"

@@ -21,9 +21,9 @@
 //! Two cache families ride along and land in the same JSON:
 //!
 //! * **repeated_query** — the full cached serving path
-//!   (`compile_and_eval_cached`): cold serve (empty [`PlanCache`]) vs the
-//!   second serve of the same text against an unchanged database, which
-//!   must hit both the plan and the result layer;
+//!   (`compile_and_eval_shared`): cold serve (empty [`SharedPlanCache`])
+//!   vs the second serve of the same text against an unchanged database,
+//!   which must hit both the plan and the result layer;
 //! * **shared_subtree** — plans whose join subtree appears several times:
 //!   plain tree evaluation vs the memoizing DAG evaluator
 //!   ([`eval_shared`]), with the per-run memo hit count.
@@ -69,9 +69,10 @@
 //! `apply_delta` must take the view-refresh path, and the median speedup
 //! over the full re-evaluation fallback must reach 10x. With `ANY_GATE=1`
 //! it runs the safe-pair acceptance check: every classifier-rejected
-//! corpus formula must be served by `compile_and_eval_any` byte-identical
-//! to the brute-force active-domain oracle — in process *and* over the
-//! `any` wire verb, with the infiniteness flags surviving the round trip.
+//! corpus formula must be served by `compile_and_eval_any_shared`
+//! byte-identical to the brute-force active-domain oracle — in process
+//! *and* over the `any` wire verb, with the infiniteness flags surviving
+//! the round trip.
 //! With `EGRAPH_GATE=1` it runs the equality-saturation acceptance gate:
 //! every corpus formula must serve bit-identical answers (and
 //! infiniteness flags) under `planner=cost` and `planner=saturate`, the
@@ -101,12 +102,12 @@ use rc_bench::Table;
 use rc_formula::{Term, Value, Var};
 use rc_relalg::trace::json_str;
 use rc_relalg::{
-    eval, eval_baseline, eval_governed, eval_shared, eval_traced, optimize, partition_count,
-    saturate_governed, simplify, Budget, Database, Estimator, EvalStats, FaultInjector, OpSpan,
-    PlanCache, RaExpr, Relation, RelationBuilder, SelPred, Tracer,
+    eval, eval_baseline, eval_shared, eval_traced, optimize, partition_count, saturate_governed,
+    simplify, Budget, Database, Estimator, EvalStats, FaultInjector, OpSpan, RaExpr, Relation,
+    RelationBuilder, SelPred, SharedPlanCache, Tracer,
 };
-use rc_safety::anyrc::compile_and_eval_any_cached;
-use rc_safety::pipeline::{compile_and_eval_cached, CompileOptions, Compiled, PlannerMode};
+use rc_safety::anyrc::compile_and_eval_any_shared;
+use rc_safety::pipeline::{compile_and_eval_shared, CompileOptions, Compiled, PlannerMode};
 use std::hint::black_box;
 use std::time::{Duration, Instant};
 
@@ -335,22 +336,27 @@ fn bench_partition_workload(
 ) -> PartitionRecord {
     let seq_budget = Budget::new().with_partitions(1);
     let par_budget = Budget::new(); // auto: cardinality/cores heuristic
-    let seq_rel = eval_governed(expr, db, &mut EvalStats::default(), &seq_budget).unwrap();
-    let par_rel = eval_governed(expr, db, &mut EvalStats::default(), &par_budget).unwrap();
+    let run = |budget: &Budget| {
+        let mut stats = EvalStats::default();
+        eval_traced(
+            black_box(expr),
+            black_box(db),
+            &mut stats,
+            budget,
+            &mut Tracer::off(),
+        )
+        .unwrap()
+    };
+    let seq_rel = run(&seq_budget);
+    let par_rel = run(&par_budget);
     let identical = seq_rel == par_rel && seq_rel.to_string() == par_rel.to_string();
     let (seq_ns, par_ns, ratio) = time_paired(
         samples,
         || {
-            let mut stats = EvalStats::default();
-            black_box(
-                eval_governed(black_box(expr), black_box(db), &mut stats, &seq_budget).unwrap(),
-            );
+            black_box(run(&seq_budget));
         },
         || {
-            let mut stats = EvalStats::default();
-            black_box(
-                eval_governed(black_box(expr), black_box(db), &mut stats, &par_budget).unwrap(),
-            );
+            black_box(run(&par_budget));
         },
     );
     // Fallback overhead: spawn denial (the degraded path a thread-starved
@@ -361,16 +367,10 @@ fn bench_partition_workload(
     let (_, _, fb_ratio) = time_paired(
         samples,
         || {
-            let mut stats = EvalStats::default();
-            black_box(
-                eval_governed(black_box(expr), black_box(db), &mut stats, &seq_budget).unwrap(),
-            );
+            black_box(run(&seq_budget));
         },
         || {
-            let mut stats = EvalStats::default();
-            black_box(
-                eval_governed(black_box(expr), black_box(db), &mut stats, &denied_budget).unwrap(),
-            );
+            black_box(run(&denied_budget));
         },
     );
     PartitionRecord {
@@ -899,15 +899,15 @@ fn run_egraph_gate() {
             } else {
                 Database::random(&schema, &domain, 6, &mut StdRng::seed_from_u64(seed))
             };
-            let mut cost_cache: PlanCache<Compiled> = PlanCache::new();
-            let mut sat_cache: PlanCache<Compiled> = PlanCache::new();
-            let cost = compile_and_eval_any_cached(
+            let cost_cache: SharedPlanCache<Compiled> = SharedPlanCache::new();
+            let sat_cache: SharedPlanCache<Compiled> = SharedPlanCache::new();
+            let cost = compile_and_eval_any_shared(
                 entry.text,
                 &db,
                 CompileOptions::default(),
-                &mut cost_cache,
+                &cost_cache,
             );
-            let sat = compile_and_eval_any_cached(entry.text, &db, saturate_opts(), &mut sat_cache);
+            let sat = compile_and_eval_any_shared(entry.text, &db, saturate_opts(), &sat_cache);
             let (cost, sat) = match (cost, sat) {
                 (Ok(c), Ok(s)) => (c, s),
                 (c, s) => {
@@ -1094,22 +1094,22 @@ fn bench_repeated_query(
     n: usize,
 ) -> CacheRecord {
     let cold_ns = time_median(samples, || {
-        let mut cache: PlanCache<Compiled> = PlanCache::new();
+        let cache: SharedPlanCache<Compiled> = SharedPlanCache::new();
         black_box(
-            compile_and_eval_cached(text, db, CompileOptions::default(), &mut cache)
+            compile_and_eval_shared(text, db, CompileOptions::default(), &cache)
                 .expect("cold serve"),
         );
     });
-    let mut cache: PlanCache<Compiled> = PlanCache::new();
-    compile_and_eval_cached(text, db, CompileOptions::default(), &mut cache).expect("prime");
+    let cache: SharedPlanCache<Compiled> = SharedPlanCache::new();
+    compile_and_eval_shared(text, db, CompileOptions::default(), &cache).expect("prime");
     let warm_ns = time_median(samples, || {
         black_box(
-            compile_and_eval_cached(text, db, CompileOptions::default(), &mut cache)
+            compile_and_eval_shared(text, db, CompileOptions::default(), &cache)
                 .expect("warm serve"),
         );
     });
-    let check = compile_and_eval_cached(text, db, CompileOptions::default(), &mut cache)
-        .expect("warm serve");
+    let check =
+        compile_and_eval_shared(text, db, CompileOptions::default(), &cache).expect("warm serve");
     CacheRecord {
         name,
         rows: n,
@@ -1194,11 +1194,11 @@ struct TrickleRecord {
 fn bench_update_trickle(samples: usize, name: &'static str, text: &str, n: usize) -> TrickleRecord {
     let mut db_full = db_for(n);
     let mut db_ivm = db_for(n);
-    let mut cache_full: PlanCache<Compiled> = PlanCache::new();
-    let mut cache_ivm: PlanCache<Compiled> = PlanCache::new();
-    compile_and_eval_cached(text, &db_full, CompileOptions::default(), &mut cache_full)
+    let cache_full: SharedPlanCache<Compiled> = SharedPlanCache::new();
+    let cache_ivm: SharedPlanCache<Compiled> = SharedPlanCache::new();
+    compile_and_eval_shared(text, &db_full, CompileOptions::default(), &cache_full)
         .expect("prime baseline cache");
-    compile_and_eval_cached(text, &db_ivm, CompileOptions::default(), &mut cache_ivm)
+    compile_and_eval_shared(text, &db_ivm, CompileOptions::default(), &cache_ivm)
         .expect("prime ivm cache");
     let key = (n as i64 / 3).max(1);
     let fresh = 10 * n as i64; // key range disjoint from the seeded rows
@@ -1214,12 +1214,12 @@ fn bench_update_trickle(samples: usize, name: &'static str, text: &str, n: usize
         db_ivm.apply_delta(&fact).expect("delta mutation");
         let t0 = Instant::now();
         black_box(
-            compile_and_eval_cached(text, &db_full, CompileOptions::default(), &mut cache_full)
+            compile_and_eval_shared(text, &db_full, CompileOptions::default(), &cache_full)
                 .expect("full re-serve"),
         );
         let full = t0.elapsed().as_nanos();
         let t1 = Instant::now();
-        let out = compile_and_eval_cached(text, &db_ivm, CompileOptions::default(), &mut cache_ivm)
+        let out = compile_and_eval_shared(text, &db_ivm, CompileOptions::default(), &cache_ivm)
             .expect("delta re-serve");
         let refresh = t1.elapsed().as_nanos();
         refreshed &= out.result_refreshed;
@@ -1318,21 +1318,21 @@ fn bench_any_query(
     n: usize,
 ) -> AnyRecord {
     let cold_ns = time_median(samples, || {
-        let mut cache: PlanCache<Compiled> = PlanCache::new();
+        let cache: SharedPlanCache<Compiled> = SharedPlanCache::new();
         black_box(
-            compile_and_eval_any_cached(text, db, CompileOptions::default(), &mut cache)
+            compile_and_eval_any_shared(text, db, CompileOptions::default(), &cache)
                 .expect("cold any serve"),
         );
     });
-    let mut cache: PlanCache<Compiled> = PlanCache::new();
-    compile_and_eval_any_cached(text, db, CompileOptions::default(), &mut cache).expect("prime");
+    let cache: SharedPlanCache<Compiled> = SharedPlanCache::new();
+    compile_and_eval_any_shared(text, db, CompileOptions::default(), &cache).expect("prime");
     let warm_ns = time_median(samples, || {
         black_box(
-            compile_and_eval_any_cached(text, db, CompileOptions::default(), &mut cache)
+            compile_and_eval_any_shared(text, db, CompileOptions::default(), &cache)
                 .expect("warm any serve"),
         );
     });
-    let check = compile_and_eval_any_cached(text, db, CompileOptions::default(), &mut cache)
+    let check = compile_and_eval_any_shared(text, db, CompileOptions::default(), &cache)
         .expect("warm any serve");
     AnyRecord {
         name,
@@ -1348,10 +1348,10 @@ fn bench_any_query(
 
 /// `ANY_GATE=1` mode: the safe-pair acceptance check. Every corpus
 /// formula — and in particular every classifier-rejected one — must be
-/// served by `compile_and_eval_any` with a finite part byte-identical to
-/// the brute-force active-domain oracle, both in process and over the
-/// `any` wire verb, with the infiniteness flags surviving the round
-/// trip. Exits nonzero on failure; never touches `BENCH_eval.json`.
+/// served by `compile_and_eval_any_shared` with a finite part
+/// byte-identical to the brute-force active-domain oracle, both in process
+/// and over the `any` wire verb, with the infiniteness flags surviving the
+/// round trip. Exits nonzero on failure; never touches `BENCH_eval.json`.
 fn run_any_gate() {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -1382,12 +1382,12 @@ fn run_any_gate() {
             } else {
                 Database::random(&schema, &domain, 6, &mut StdRng::seed_from_u64(seed))
             };
-            let mut cache: PlanCache<Compiled> = PlanCache::new();
-            let out = match compile_and_eval_any_cached(
+            let cache: SharedPlanCache<Compiled> = SharedPlanCache::new();
+            let out = match compile_and_eval_any_shared(
                 entry.text,
                 &db,
                 CompileOptions::default(),
-                &mut cache,
+                &cache,
             ) {
                 Ok(o) => o,
                 Err(e) => {
@@ -1507,10 +1507,8 @@ fn main() {
                         .with_max_tuples(u64::MAX / 2)
                         .with_max_nodes(u64::MAX / 2);
                     let mut stats = EvalStats::default();
-                    black_box(
-                        eval_governed(black_box(&expr), black_box(&db), &mut stats, &budget)
-                            .unwrap(),
-                    );
+                    let (e, d) = (black_box(&expr), black_box(&db));
+                    black_box(eval_traced(e, d, &mut stats, &budget, &mut Tracer::off()).unwrap());
                 },
             );
             let baseline_ns = time_median(samples, || {

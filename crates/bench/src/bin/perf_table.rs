@@ -14,7 +14,7 @@
 
 use rc_bench::{bench_db, division_query, negation_query, Table};
 use rc_formula::vars::free_vars;
-use rc_relalg::{EvalStats, RaExpr};
+use rc_relalg::{Budget, EvalStats, RaExpr, Tracer};
 use rc_safety::dom_baseline::{augment_with_dom, eval_dom, translate_dom};
 use rc_safety::pipeline::compile;
 use rc_safety::tuplewise::eval_tuplewise;
@@ -48,7 +48,14 @@ fn main() {
 
             let mut ranf_stats = EvalStats::default();
             let t0 = Instant::now();
-            let ours = compiled.run_with_stats(&db, &mut ranf_stats).unwrap();
+            let ours = compiled
+                .run_traced(
+                    &db,
+                    &mut ranf_stats,
+                    Budget::unlimited(),
+                    &mut Tracer::off(),
+                )
+                .unwrap();
             let ranf_us = t0.elapsed().as_micros();
 
             // Dom-based algebra translation.
@@ -62,8 +69,14 @@ fn main() {
             let augmented = augment_with_dom(&db, &f);
             let mut dom_stats = EvalStats::default();
             let t1 = Instant::now();
-            let dom_ans =
-                rc_relalg::eval_with_stats(&dom_expr, &augmented, &mut dom_stats).unwrap();
+            let dom_ans = rc_relalg::eval_traced(
+                &dom_expr,
+                &augmented,
+                &mut dom_stats,
+                Budget::unlimited(),
+                &mut Tracer::off(),
+            )
+            .unwrap();
             let dom_us = t1.elapsed().as_micros();
             assert_eq!(ours, dom_ans, "Dom baseline disagrees");
             // Keep eval_dom linked in as the reference implementation.

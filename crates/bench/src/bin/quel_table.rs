@@ -10,7 +10,7 @@
 
 use rand::Rng;
 use rc_bench::{rng, Table};
-use rc_relalg::{eval_with_stats, Database, EvalStats};
+use rc_relalg::{eval_traced, Budget, Database, EvalStats, Tracer};
 use rc_safety::naive::{section2_formula, section2_naive};
 use rc_safety::pipeline::compile;
 
@@ -52,10 +52,17 @@ fn main() {
         for r3 in [0usize, 5] {
             let db = make_db(n, r3, 7 + n as u64);
             let mut s1 = EvalStats::default();
-            let quel = eval_with_stats(&naive_expr, &db, &mut s1).unwrap();
+            let quel = eval_traced(
+                &naive_expr,
+                &db,
+                &mut s1,
+                Budget::unlimited(),
+                &mut Tracer::off(),
+            )
+            .unwrap();
             let mut s2 = EvalStats::default();
             let ours = correct
-                .run_with_stats(&db, &mut s2)
+                .run_traced(&db, &mut s2, Budget::unlimited(), &mut Tracer::off())
                 .expect("correct translation evaluates");
             t.row(vec![
                 n.to_string(),

@@ -1,9 +1,9 @@
 //! Export the machine-readable JSON trace of one corpus query.
 //!
-//! Runs the full traced pipeline (`compile_and_eval_traced`) on a paper
-//! formula over a deterministic random database and writes the
-//! [`rc_relalg::PipelineTrace`] JSON to `TRACE_corpus.json` at the
-//! repository root — the artifact CI uploads so a pipeline run's span tree
+//! Writes [`rc_safety::corpus::trace_artifact`] — the full traced
+//! pipeline (`compile_and_eval_traced`) on a paper formula over a
+//! deterministic random database — to `TRACE_corpus.json` at the
+//! repository root: the artifact CI uploads so a pipeline run's span tree
 //! can be inspected without rerunning anything:
 //!
 //! ```sh
@@ -13,12 +13,7 @@
 //! Defaults to `ex9.2-row2` (a wide-sense evaluable formula exercising
 //! classify → genify → ranf → translate → optimize → eval) with seed 7.
 
-use rand::rngs::StdRng;
-use rand::SeedableRng;
-use rc_formula::{Schema, Value};
-use rc_relalg::Database;
-use rc_safety::corpus::{by_id, formula_of};
-use rc_safety::pipeline::{compile_and_eval_traced, CompileOptions};
+use rc_safety::corpus::trace_artifact;
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
@@ -27,31 +22,9 @@ fn main() {
         .get(2)
         .map(|s| s.parse().expect("seed must be a number"))
         .unwrap_or(7);
-    let entry = by_id(id).unwrap_or_else(|| panic!("no corpus entry with id {id:?}"));
-    let f = formula_of(&entry);
-    let schema = Schema::infer(&f).expect("corpus formulas have consistent arities");
-    let mut domain: Vec<Value> = (1..=4).map(Value::int).collect();
-    for c in f.constants() {
-        if !domain.contains(&c) {
-            domain.push(c);
-        }
-    }
-    let db = Database::random(&schema, &domain, 6, &mut StdRng::seed_from_u64(seed));
-
-    let (result, trace) = compile_and_eval_traced(&f.to_string(), &db, CompileOptions::default());
-    match &result {
-        Ok(out) => println!(
-            "{id}: {} answer rows, {} operators traced",
-            out.relation.len(),
-            trace.root.as_ref().map(|r| r.span_count()).unwrap_or(0)
-        ),
-        Err(e) => println!("{id}: failed ({e}) — exporting the partial trace"),
-    }
-    let json = format!(
-        "{{\"corpus_id\": {id:?}, \"seed\": {seed}, \"ok\": {}, \"trace\": {}}}\n",
-        result.is_ok(),
-        trace.to_json()
-    );
+    let (summary, json) =
+        trace_artifact(id, seed).unwrap_or_else(|| panic!("no corpus entry with id {id:?}"));
+    println!("{summary}");
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../TRACE_corpus.json");
     std::fs::write(path, &json).expect("write TRACE_corpus.json");
     println!("wrote {path}");

@@ -47,32 +47,34 @@
 //!   closed formulas it is always `false` — a 0-ary answer is never
 //!   infinite, even when the truth value itself is domain dependent).
 //! * Both legs run under **one** budget (`opts.budget` governs the pair
-//!   as a single query), and both are served through the same plan/result
-//!   cache machinery as ordinary queries: the legs are keyed by the
-//!   original query text under salted option keys, their results are
-//!   keyed by the *base* database version, and stale cached legs are
-//!   delta-refreshed ([`rc_relalg::ivm`]) — the guard tables, which the
-//!   base database does not store, get a computed delta spliced into the
-//!   mutation chain.
+//!   as a single query), and each is served by the same function as an
+//!   ordinary query ([`crate::pipeline::compile_and_eval_shared`]'s
+//!   serving path): the legs are keyed by the original query text under
+//!   salted option keys, their results are keyed by the *base* database
+//!   version, and stale cached legs are delta-refreshed
+//!   ([`rc_relalg::ivm`]) — the guard tables, which the base database
+//!   does not store, get a computed delta spliced into the mutation
+//!   chain.
+//! * The route follows the request's options: a wide-sense evaluable
+//!   formula takes the ordinary pipeline only when
+//!   [`CompileOptions::equality_reduction`] is on, and the safe pair
+//!   otherwise.
 
 use crate::dom_baseline::dom_pred;
 use crate::pipeline::{
-    classify, compile_and_eval_in, compile_and_eval_traced, compile_for, compile_traced_for,
-    CompileOptions, Compiled, Exclusive, PipelineError, PlanStore, QueryOutput, SafetyClass,
+    classify, compile_and_eval_shared, compile_and_eval_traced, serve_leg, traced_leg,
+    CompileOptions, Compiled, PipelineError, QueryOutput, SafetyClass,
 };
 use rc_formula::ast::Formula;
 use rc_formula::term::Var;
 use rc_formula::vars::{bound_vars, free_vars, is_rectified, rectified};
 use rc_formula::{Symbol, Term, Value};
-use rc_relalg::govern::{Budget, Stage};
+use rc_relalg::govern::Stage;
 use rc_relalg::{
-    refresh, worth_refreshing, Database, Estimator, EvalStats, PipelineTrace, PlanCache,
-    RefreshError, Relation, RelationBuilder, SharedPlanCache, StageSpan, StageTracer, TableDelta,
-    Tracer,
+    Database, EvalStats, PipelineTrace, Relation, RelationBuilder, SharedPlanCache, StageSpan,
+    StageTracer,
 };
-use std::cell::RefCell;
 use std::collections::BTreeSet;
-use std::sync::Arc;
 
 /// The reserved name of the star-extended domain guard relation (the
 /// active domain plus the fresh star constants), the `inf` counterpart
@@ -196,151 +198,82 @@ fn star_values(db: &Database, query: &Formula, q: usize) -> Vec<Value> {
     out
 }
 
-/// The guard table contents for one leg: active domain ∪ query constants
-/// ∪ stars, with the `#default` element when everything is empty
-/// (first-order semantics needs a nonempty domain) — byte-compatible
-/// with [`crate::dom_baseline::augment_with_dom`]'s `Dom#` when `stars`
-/// is empty.
-fn guard_relation(db: &Database, query: &Formula, stars: &[Value]) -> Relation {
-    let mut b = RelationBuilder::with_capacity(1, db.active_domain().len() + stars.len());
-    for &v in db.active_domain() {
-        b.push_row(&[v]);
-    }
-    for c in query.constants() {
-        b.push_row(&[c]);
-    }
-    for &s in stars {
-        b.push_row(&[s]);
-    }
-    if b.is_empty() {
-        b.push_row(&[Value::str("#default")]);
-    }
-    b.finish()
+/// One leg of the safe pair: the relativized formula, the name of its
+/// domain guard relation, and the star constants that guard adds to the
+/// active domain (none for the fin leg).
+pub(crate) struct LegGuard {
+    /// The query relativized to `pred`.
+    pub(crate) leg: Formula,
+    /// The guard relation's name ([`dom_pred`] or [`dom_plus_pred`]).
+    pub(crate) pred: Symbol,
+    stars: Vec<Value>,
 }
 
-/// A copy of `db` with the leg's predicates declared and its guard table
-/// installed.
-fn augment_for_leg(db: &Database, leg: &Formula, guard: Symbol, stars: &[Value]) -> Database {
-    let mut out = db.clone();
-    for (p, arity) in leg.predicates() {
-        out.declare(p, arity);
+impl LegGuard {
+    fn new(rect: &Formula, pred: Symbol, stars: Vec<Value>) -> LegGuard {
+        LegGuard {
+            leg: relativized_query(rect, pred),
+            pred,
+            stars,
+        }
     }
-    out.insert_relation(guard, guard_relation(db, leg, stars));
-    out
+
+    /// The guard table contents: active domain ∪ query constants ∪
+    /// stars, with the `#default` element when everything is empty
+    /// (first-order semantics needs a nonempty domain) — byte-compatible
+    /// with [`crate::dom_baseline::augment_with_dom`]'s `Dom#` when there
+    /// are no stars.
+    pub(crate) fn relation(&self, db: &Database) -> Relation {
+        let mut b = RelationBuilder::with_capacity(1, db.active_domain().len() + self.stars.len());
+        for &v in db.active_domain() {
+            b.push_row(&[v]);
+        }
+        for c in self.leg.constants() {
+            b.push_row(&[c]);
+        }
+        for &s in &self.stars {
+            b.push_row(&[s]);
+        }
+        if b.is_empty() {
+            b.push_row(&[Value::str("#default")]);
+        }
+        b.finish()
+    }
+
+    /// A copy of `db` with the leg's predicates declared and its guard
+    /// table installed.
+    pub(crate) fn augment(&self, db: &Database) -> Database {
+        let mut out = db.clone();
+        for (p, arity) in self.leg.predicates() {
+            out.declare(p, arity);
+        }
+        out.insert_relation(self.pred, self.relation(db));
+        out
+    }
 }
 
-/// What serving one leg yields: the compiled plan, the leg's answer and
-/// evaluation stats, then the three serving-path flags in cache order —
-/// plan hit, result hit (verbatim), result refreshed (IVM).
-type ServedLeg = (Arc<Compiled>, Relation, EvalStats, bool, bool, bool);
+/// Build both legs of the safe pair for `f`: fin (guarded by the active
+/// domain) and inf (guarded by the active domain plus one star per
+/// variable of `f`).
+fn legs(f: Formula, db: &Database) -> (LegGuard, LegGuard) {
+    let rect = if is_rectified(&f) { f } else { rectified(&f) };
+    let q = free_vars(&rect).len() + bound_vars(&rect).len();
+    let stars = star_values(db, &rect, q);
+    (
+        LegGuard::new(&rect, dom_pred(), Vec::new()),
+        LegGuard::new(&rect, dom_plus_pred(), stars),
+    )
+}
 
-/// Serve one leg of the pair through the cache, mirroring the ordinary
-/// cached serving path: plan lookup (salted key under the original query
-/// text) → result lookup → guard-delta-extended IVM refresh → full
-/// evaluation. Results and views are stamped with the *base* database
-/// version; the augmented database is only built on an evaluation miss.
-#[allow(clippy::too_many_arguments)]
-fn serve_leg(
-    text: &str,
-    salt: u64,
-    db: &Database,
-    leg_f: &Formula,
-    guard: Symbol,
-    stars: &[Value],
-    opts: &CompileOptions,
-    budget: &Budget,
-    cache: &impl PlanStore,
-) -> Result<ServedLeg, PipelineError> {
-    let db_version = db.version();
-    let opts_key = opts.cache_key() ^ salt;
-    let stats_epoch = if opts.optimize { db.stats_epoch() } else { 0 };
-    let mut aug: Option<Database> = None;
-    let (compiled, plan_hash, plan_cached) = match cache.lookup_plan(text, opts_key, stats_epoch) {
-        Some((compiled, hash)) => (compiled, hash, true),
-        None => {
-            let a = aug.get_or_insert_with(|| augment_for_leg(db, leg_f, guard, stars));
-            let compiled = compile_for(leg_f, opts.clone(), a).map_err(PipelineError::from)?;
-            let hash = rc_relalg::plan_hash(&compiled.expr);
-            (
-                cache.insert_plan(text, opts_key, stats_epoch, compiled, hash),
-                hash,
-                false,
-            )
-        }
-    };
-    let mut stats = EvalStats::default();
-    if let Some(relation) = cache.lookup_result(plan_hash, db_version) {
-        stats.budget_checks += 1;
-        budget
-            .checkpoint(Stage::Eval)
-            .and_then(|()| budget.charge_tuples(Stage::Eval, relation.len() as u64))
-            .map_err(PipelineError::Budget)?;
-        return Ok((compiled, relation, stats, plan_cached, true, false));
+/// Does a formula of this class take the ordinary pipeline under `opts`?
+/// Wide-sense evaluable formulas compile only through equality
+/// reduction, so with it switched off they take the safe pair.
+fn takes_fast_path(class: SafetyClass, opts: &CompileOptions) -> bool {
+    match class {
+        SafetyClass::Allowed | SafetyClass::Evaluable => true,
+        SafetyClass::WideSenseEvaluable => opts.equality_reduction,
+        SafetyClass::NotRecognized => false,
     }
-    if let Some(view) = cache.view_snapshot(plan_hash) {
-        if view.base_version() != db_version {
-            if let Some(mut chain) = db.delta_chain(view.base_version(), db_version) {
-                // The guard table lives only inside the view, so the
-                // base delta chain says nothing about it. Recover the
-                // old contents from the view's materialized scan, build
-                // the new contents from the current database, and splice
-                // the set difference into the chain. A guard that is
-                // scanned but not recoverable (the optimizer rewrote the
-                // full-table scan away) forces a full re-evaluation.
-                let guard_ok = if view.preds().contains(&guard) {
-                    match view.scan_contents(guard) {
-                        Some(old) => {
-                            let new = guard_relation(db, leg_f, stars);
-                            chain.insert_table(
-                                guard,
-                                TableDelta {
-                                    plus: new.minus(old),
-                                    minus: old.minus(&new),
-                                },
-                            );
-                            true
-                        }
-                        None => false,
-                    }
-                } else {
-                    true
-                };
-                let full_cost = || Estimator::new(db).cost(&compiled.expr);
-                if guard_ok && worth_refreshing(&view, &chain, full_cost) {
-                    match refresh(
-                        &view,
-                        &chain,
-                        db_version,
-                        &mut stats,
-                        budget,
-                        &mut Tracer::off(),
-                    ) {
-                        Ok((refreshed_view, relation)) => {
-                            stats.budget_checks += 1;
-                            budget
-                                .checkpoint(Stage::Eval)
-                                .and_then(|()| {
-                                    budget.charge_tuples(Stage::Eval, relation.len() as u64)
-                                })
-                                .map_err(PipelineError::Budget)?;
-                            cache.install_refreshed(plan_hash, refreshed_view, relation.clone());
-                            return Ok((compiled, relation, stats, plan_cached, true, true));
-                        }
-                        Err(RefreshError::Budget(b)) => return Err(PipelineError::Budget(b)),
-                        Err(RefreshError::Unsupported(_)) => {
-                            stats = EvalStats::default();
-                        }
-                    }
-                }
-            }
-        }
-    }
-    let a = aug.get_or_insert_with(|| augment_for_leg(db, leg_f, guard, stars));
-    let (relation, view) =
-        compiled.run_maintained(a, db_version, &mut stats, budget, &mut Tracer::off())?;
-    cache.insert_result(plan_hash, db_version, relation.clone());
-    cache.register_view(plan_hash, view);
-    Ok((compiled, relation, stats, plan_cached, false, false))
 }
 
 /// Package a fast-path (recognized-class) pipeline answer as an
@@ -364,34 +297,67 @@ fn fast_answer(
     }
 }
 
-/// Scan the inf leg's answer for star witnesses: the overall flag and
-/// the per-column mask.
-fn star_mask(inf: &Relation, stars: &[Value], ncols: usize) -> (bool, Vec<bool>) {
+/// Package both legs' answers as an [`AnyAnswer`]: the fin leg's answer
+/// is the finite part, and stars in the inf leg's answer witness
+/// infinitely many values in their columns.
+fn pair_answer(
+    class: SafetyClass,
+    columns: Vec<Var>,
+    (finite, mut stats): (Relation, EvalStats),
+    (inf, inf_stats): (&Relation, EvalStats),
+    stars: &[Value],
+) -> AnyAnswer {
     let star_set: BTreeSet<Value> = stars.iter().copied().collect();
-    let mut per_variable = vec![false; ncols];
-    let mut maybe_infinite = false;
+    let mut per_variable = vec![false; columns.len()];
     for row in inf.iter() {
         for (j, v) in row.iter().enumerate() {
-            if star_set.contains(v) {
-                per_variable[j] = true;
-                maybe_infinite = true;
-            }
+            per_variable[j] |= star_set.contains(v);
         }
     }
-    (maybe_infinite, per_variable)
+    stats.merge(inf_stats);
+    AnyAnswer {
+        columns,
+        class,
+        safe_pair: true,
+        finite,
+        maybe_infinite: per_variable.contains(&true),
+        per_variable,
+        stats,
+    }
 }
 
-/// The shared serving path behind the cached entry points.
-fn compile_and_eval_any_in(
+/// Evaluate an arbitrary relational calculus query through a concurrently
+/// shared cache — the entry point the query server uses for the `any`
+/// wire verb. Formulas the ordinary pipeline compiles under `opts` take
+/// [`compile_and_eval_shared`]; everything else takes the safe-pair
+/// construction (see the module docs for the contract), both legs cached
+/// and delta-maintained exactly like ordinary queries, under the original
+/// query text.
+///
+/// ```
+/// use rc_safety::anyrc::compile_and_eval_any_shared;
+/// use rc_safety::pipeline::CompileOptions;
+/// use rc_relalg::{Database, SharedPlanCache};
+///
+/// let db = Database::from_facts("P(1)\nP(2)\nQ(2)\nQ(3)").unwrap();
+/// // `¬P(x)` is rejected by every recognizer, but has a perfectly good
+/// // active-domain answer — and an infinite unrestricted-domain one.
+/// let cache = SharedPlanCache::new();
+/// let out = compile_and_eval_any_shared("!P(x)", &db, CompileOptions::default(), &cache)
+///     .unwrap();
+/// assert_eq!(out.answer.finite.len(), 1); // {3}
+/// assert!(out.answer.maybe_infinite);
+/// ```
+pub fn compile_and_eval_any_shared(
     text: &str,
     db: &Database,
     opts: CompileOptions,
-    cache: &impl PlanStore,
+    cache: &SharedPlanCache<Compiled>,
 ) -> Result<CachedAnyOutput, PipelineError> {
     let f = rc_formula::parse(text).map_err(PipelineError::Parse)?;
     let class = classify(&f);
-    if class != SafetyClass::NotRecognized {
-        let out = compile_and_eval_in(text, db, opts, cache)?;
+    if takes_fast_path(class, &opts) {
+        let out = compile_and_eval_shared(text, db, opts, cache)?;
         return Ok(CachedAnyOutput {
             answer: fast_answer(out.compiled.columns.clone(), class, out.relation, out.stats),
             plan_cached: out.plan_cached,
@@ -399,100 +365,21 @@ fn compile_and_eval_any_in(
             result_refreshed: out.result_refreshed,
         });
     }
-    let rect = if is_rectified(&f) { f } else { rectified(&f) };
-    let q = free_vars(&rect).len() + bound_vars(&rect).len();
-    let stars = star_values(db, &rect, q);
-    let fin_f = relativized_query(&rect, dom_pred());
-    let inf_f = relativized_query(&rect, dom_plus_pred());
-    let budget = opts.budget.clone();
-    let (fin_c, fin_rel, fin_stats, fin_pc, fin_rc, fin_rr) = serve_leg(
-        text,
-        FIN_SALT,
-        db,
-        &fin_f,
-        dom_pred(),
-        &[],
-        &opts,
-        &budget,
-        cache,
-    )?;
-    let (_, inf_rel, inf_stats, inf_pc, inf_rc, inf_rr) = serve_leg(
-        text,
-        INF_SALT,
-        db,
-        &inf_f,
-        dom_plus_pred(),
-        &stars,
-        &opts,
-        &budget,
-        cache,
-    )?;
-    let columns = fin_c.columns.clone();
-    let (maybe_infinite, per_variable) = star_mask(&inf_rel, &stars, columns.len());
-    let mut stats = fin_stats;
-    stats.merge(inf_stats);
+    let (fin, inf) = legs(f, db);
+    let fin_out = serve_leg(text, FIN_SALT, Some(&fin), db, &opts, cache)?;
+    let inf_out = serve_leg(text, INF_SALT, Some(&inf), db, &opts, cache)?;
     Ok(CachedAnyOutput {
-        answer: AnyAnswer {
-            columns,
+        answer: pair_answer(
             class,
-            safe_pair: true,
-            finite: fin_rel,
-            maybe_infinite,
-            per_variable,
-            stats,
-        },
-        plan_cached: fin_pc && inf_pc,
-        result_cached: fin_rc && inf_rc,
-        result_refreshed: fin_rr || inf_rr,
+            fin_out.compiled.columns.clone(),
+            (fin_out.relation, fin_out.stats),
+            (&inf_out.relation, inf_out.stats),
+            &inf.stars,
+        ),
+        plan_cached: fin_out.plan_cached && inf_out.plan_cached,
+        result_cached: fin_out.result_cached && inf_out.result_cached,
+        result_refreshed: fin_out.result_refreshed || inf_out.result_refreshed,
     })
-}
-
-/// Evaluate an arbitrary relational calculus query: recognized formulas
-/// go through the ordinary pipeline, everything else through the
-/// safe-pair construction (see the module docs for the contract).
-///
-/// ```
-/// use rc_safety::anyrc::compile_and_eval_any;
-/// use rc_safety::pipeline::CompileOptions;
-/// use rc_relalg::Database;
-///
-/// let db = Database::from_facts("P(1)\nP(2)\nQ(2)\nQ(3)").unwrap();
-/// // `¬P(x)` is rejected by every recognizer, but has a perfectly good
-/// // active-domain answer — and an infinite unrestricted-domain one.
-/// let out = compile_and_eval_any("!P(x)", &db, CompileOptions::default()).unwrap();
-/// assert_eq!(out.finite.len(), 1); // {3}
-/// assert!(out.maybe_infinite);
-/// ```
-pub fn compile_and_eval_any(
-    text: &str,
-    db: &Database,
-    opts: CompileOptions,
-) -> Result<AnyAnswer, PipelineError> {
-    let mut cache = PlanCache::new();
-    Ok(compile_and_eval_any_cached(text, db, opts, &mut cache)?.answer)
-}
-
-/// [`compile_and_eval_any`] through a cross-run [`PlanCache`]: both legs
-/// of the pair (or the fast-path plan) are cached and delta-maintained
-/// exactly like ordinary queries, under the original query text.
-pub fn compile_and_eval_any_cached(
-    text: &str,
-    db: &Database,
-    opts: CompileOptions,
-    cache: &mut PlanCache<Compiled>,
-) -> Result<CachedAnyOutput, PipelineError> {
-    compile_and_eval_any_in(text, db, opts, &Exclusive(RefCell::new(cache)))
-}
-
-/// [`compile_and_eval_any_cached`] against a concurrently shared cache —
-/// the entry point the query server uses for the `any` wire verb.
-pub fn compile_and_eval_any_shared(
-    text: &str,
-    db: &Database,
-    opts: CompileOptions,
-    cache: &SharedPlanCache<Compiled>,
-) -> Result<CachedAnyOutput, PipelineError> {
-    compile_and_eval_any_in(text, db, opts, cache)
 }
 
 /// Append the leg tag to every stage span of one leg's trace.
@@ -506,54 +393,25 @@ fn tag_spans(spans: &mut [StageSpan], tag: &str) {
     }
 }
 
-/// One uncached, traced leg: compile with per-stage spans, evaluate with
-/// an operator tracer, and tag every span with `anyrc=fin|inf`.
-fn traced_leg(
-    leg_f: &Formula,
-    aug: &Database,
+/// One uncached, traced leg: [`traced_leg`] against the guard-augmented
+/// database, every stage span tagged `anyrc=fin|inf`.
+fn traced_pair_leg(
+    leg: &LegGuard,
+    db: &Database,
     opts: CompileOptions,
-    budget: &Budget,
     tag: &str,
-) -> (
-    Result<(Compiled, Relation, EvalStats), PipelineError>,
-    PipelineTrace,
-) {
-    let mut st = StageTracer::on();
-    let compiled = match compile_traced_for(leg_f, opts, Some(aug), &mut st) {
-        Ok(c) => c,
-        Err(e) => {
-            let mut trace = st.into_trace(None);
-            tag_spans(&mut trace.stages, tag);
-            return (Err(e.into()), trace);
-        }
-    };
-    st.begin(Stage::Eval, compiled.expr.node_count() as u64);
-    let mut stats = EvalStats::default();
-    let mut tracer = Tracer::on();
-    match compiled.run_traced(aug, &mut stats, budget, &mut tracer) {
-        Ok(relation) => {
-            st.end(
-                relation.len() as u64,
-                format!("tuples_produced={}", stats.tuples_produced),
-            );
-            let mut trace = st.into_trace(tracer.finish());
-            tag_spans(&mut trace.stages, tag);
-            (Ok((compiled, relation, stats)), trace)
-        }
-        Err(e) => {
-            let mut trace = st.into_trace(tracer.finish());
-            tag_spans(&mut trace.stages, tag);
-            (Err(e.into()), trace)
-        }
-    }
+) -> (Result<QueryOutput, PipelineError>, PipelineTrace) {
+    let (result, mut trace) = traced_leg(&leg.leg, &leg.augment(db), opts, StageTracer::on());
+    tag_spans(&mut trace.stages, tag);
+    (result, trace)
 }
 
-/// [`compile_and_eval_any`] with full observability: the returned trace
+/// The safe-pair evaluation with full observability: the returned trace
 /// concatenates the parse span with both legs' stage spans, each tagged
 /// `anyrc=fin` or `anyrc=inf` in its detail; the operator tree is the
 /// fin leg's (the one producing [`AnyAnswer::finite`]). Fast-path
-/// (recognized) queries return the ordinary
-/// [`compile_and_eval_traced`] trace unchanged.
+/// queries return the ordinary [`compile_and_eval_traced`] trace
+/// unchanged.
 pub fn compile_and_eval_any_traced(
     text: &str,
     db: &Database,
@@ -567,7 +425,7 @@ pub fn compile_and_eval_any_traced(
     };
     st.end(f.node_count() as u64, String::new());
     let class = classify(&f);
-    if class != SafetyClass::NotRecognized {
+    if takes_fast_path(class, &opts) {
         let (res, trace) = compile_and_eval_traced(text, db, opts);
         return (
             res.map(|out: QueryOutput| {
@@ -576,18 +434,11 @@ pub fn compile_and_eval_any_traced(
             trace,
         );
     }
-    let parse_spans: Vec<StageSpan> = st.stages().to_vec();
-    let rect = if is_rectified(&f) { f } else { rectified(&f) };
-    let q = free_vars(&rect).len() + bound_vars(&rect).len();
-    let stars = star_values(db, &rect, q);
-    let fin_f = relativized_query(&rect, dom_pred());
-    let inf_f = relativized_query(&rect, dom_plus_pred());
-    let budget = opts.budget.clone();
-    let fin_aug = augment_for_leg(db, &fin_f, dom_pred(), &[]);
-    let (fin_res, fin_trace) = traced_leg(&fin_f, &fin_aug, opts.clone(), &budget, "fin");
-    let mut stages = parse_spans;
+    let mut stages: Vec<StageSpan> = st.stages().to_vec();
+    let (fin, inf) = legs(f, db);
+    let (fin_res, fin_trace) = traced_pair_leg(&fin, db, opts.clone(), "fin");
     stages.extend(fin_trace.stages);
-    let (fin_c, fin_rel, fin_stats) = match fin_res {
+    let fin_out = match fin_res {
         Ok(v) => v,
         Err(e) => {
             return (
@@ -599,33 +450,24 @@ pub fn compile_and_eval_any_traced(
             )
         }
     };
-    let inf_aug = augment_for_leg(db, &inf_f, dom_plus_pred(), &stars);
-    let (inf_res, inf_trace) = traced_leg(&inf_f, &inf_aug, opts, &budget, "inf");
+    let (inf_res, inf_trace) = traced_pair_leg(&inf, db, opts, "inf");
     stages.extend(inf_trace.stages);
     let trace = PipelineTrace {
         stages,
         root: fin_trace.root,
     };
-    let (_, inf_rel, inf_stats) = match inf_res {
+    let inf_out = match inf_res {
         Ok(v) => v,
         Err(e) => return (Err(e), trace),
     };
-    let columns = fin_c.columns;
-    let (maybe_infinite, per_variable) = star_mask(&inf_rel, &stars, columns.len());
-    let mut stats = fin_stats;
-    stats.merge(inf_stats);
-    (
-        Ok(AnyAnswer {
-            columns,
-            class,
-            safe_pair: true,
-            finite: fin_rel,
-            maybe_infinite,
-            per_variable,
-            stats,
-        }),
-        trace,
-    )
+    let answer = pair_answer(
+        class,
+        fin_out.compiled.columns,
+        (fin_out.relation, fin_out.stats),
+        (&inf_out.relation, inf_out.stats),
+        &inf.stars,
+    );
+    (Ok(answer), trace)
 }
 
 #[cfg(test)]
@@ -639,7 +481,9 @@ mod tests {
     }
 
     fn any(text: &str, db: &Database) -> AnyAnswer {
-        compile_and_eval_any(text, db, CompileOptions::default()).unwrap()
+        compile_and_eval_any_shared(text, db, CompileOptions::default(), &SharedPlanCache::new())
+            .unwrap()
+            .answer
     }
 
     #[test]
@@ -715,24 +559,22 @@ mod tests {
     #[test]
     fn cached_pair_serves_and_refreshes() {
         let mut database = db();
-        let mut cache = PlanCache::new();
+        let cache = SharedPlanCache::new();
         let text = "P(x) | Q(y)";
-        let cold =
-            compile_and_eval_any_cached(text, &database, CompileOptions::default(), &mut cache)
-                .unwrap();
+        let cold = compile_and_eval_any_shared(text, &database, CompileOptions::default(), &cache)
+            .unwrap();
         assert!(!cold.plan_cached && !cold.result_cached);
-        let warm =
-            compile_and_eval_any_cached(text, &database, CompileOptions::default(), &mut cache)
-                .unwrap();
+        let warm = compile_and_eval_any_shared(text, &database, CompileOptions::default(), &cache)
+            .unwrap();
         assert!(warm.plan_cached && warm.result_cached && !warm.result_refreshed);
         assert_eq!(cold.answer.finite, warm.answer.finite);
         assert_eq!(cold.answer.per_variable, warm.answer.per_variable);
         // Mutate: the guard tables change with the active domain, so the
         // refresh path must splice computed guard deltas into the chain.
         database.apply_delta("P(7)").unwrap();
-        let fresh = compile_and_eval_any(text, &database, CompileOptions::default()).unwrap();
+        let fresh = any(text, &database);
         let served =
-            compile_and_eval_any_cached(text, &database, CompileOptions::default(), &mut cache)
+            compile_and_eval_any_shared(text, &database, CompileOptions::default(), &cache)
                 .unwrap();
         assert_eq!(served.answer.finite, fresh.finite);
         assert_eq!(served.answer.per_variable, fresh.per_variable);

@@ -6,7 +6,10 @@
 //! harness prints these as the classification table, and the integration
 //! suite asserts every expectation.
 
+use crate::pipeline::{compile_and_eval_traced, CompileOptions};
 use rc_formula::ast::Formula;
+use rc_formula::{Schema, Value};
+use rc_relalg::Database;
 
 /// One formula from the paper.
 #[derive(Clone, Copy, Debug)]
@@ -303,6 +306,44 @@ pub fn formula_of(entry: &PaperFormula) -> Formula {
 /// Look up a corpus entry by id.
 pub fn by_id(id: &str) -> Option<PaperFormula> {
     corpus().into_iter().find(|e| e.id == id)
+}
+
+/// The machine-readable trace artifact of one corpus query: the full
+/// traced pipeline ([`compile_and_eval_traced`]) run on entry `id` over a
+/// random six-row-per-relation database drawn from `seed`, its
+/// [`PipelineTrace`](rc_relalg::PipelineTrace) JSON wrapped in an
+/// envelope naming the entry, the seed, and whether the run succeeded (a
+/// failed run exports its partial trace).
+///
+/// Returns a one-line summary of the run and the JSON document, or `None`
+/// when no corpus entry has that id.
+pub fn trace_artifact(id: &str, seed: u64) -> Option<(String, String)> {
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
+    let f = formula_of(&by_id(id)?);
+    let schema = Schema::infer(&f).expect("corpus formulas have consistent arities");
+    let mut domain: Vec<Value> = (1..=4).map(Value::int).collect();
+    for c in f.constants() {
+        if !domain.contains(&c) {
+            domain.push(c);
+        }
+    }
+    let db = Database::random(&schema, &domain, 6, &mut StdRng::seed_from_u64(seed));
+    let (result, trace) = compile_and_eval_traced(&f.to_string(), &db, CompileOptions::default());
+    let summary = match &result {
+        Ok(out) => format!(
+            "{id}: {} answer rows, {} operators traced",
+            out.relation.len(),
+            trace.root.as_ref().map(|r| r.span_count()).unwrap_or(0)
+        ),
+        Err(e) => format!("{id}: failed ({e}) — exporting the partial trace"),
+    };
+    let json = format!(
+        "{{\"corpus_id\": {id:?}, \"seed\": {seed}, \"ok\": {}, \"trace\": {}}}\n",
+        result.is_ok(),
+        trace.to_json()
+    );
+    Some((summary, json))
 }
 
 #[cfg(test)]

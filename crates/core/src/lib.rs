@@ -72,17 +72,15 @@ pub mod ranf;
 pub mod translate;
 
 pub use anyrc::{
-    compile_and_eval_any, compile_and_eval_any_cached, compile_and_eval_any_shared,
-    compile_and_eval_any_traced, AnyAnswer, CachedAnyOutput,
+    compile_and_eval_any_shared, compile_and_eval_any_traced, AnyAnswer, CachedAnyOutput,
 };
 pub use classes::{check_allowed, check_evaluable, is_allowed, is_evaluable};
 pub use eqreduce::{equality_reduce, is_wide_sense_evaluable};
 pub use gencon::{con, con_not, gen, gen_not};
 pub use genify::genify;
 pub use pipeline::{
-    classify, compile, compile_and_eval, compile_and_eval_cached, compile_and_eval_shared,
-    compile_and_eval_traced, query, CachedQueryOutput, Compiled, PipelineError, PlanStore,
-    QueryOutput, SafetyClass,
+    classify, compile, compile_and_eval, compile_and_eval_shared, compile_and_eval_traced, query,
+    CachedQueryOutput, Compiled, PipelineError, QueryOutput, SafetyClass,
 };
 pub use ranf::{is_ranf, ranf};
 pub use translate::translate;

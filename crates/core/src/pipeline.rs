@@ -9,6 +9,7 @@
 //! preserves logical equivalence, and unsafety is reported, not papered
 //! over.
 
+use crate::anyrc::LegGuard;
 use crate::classes::{check_evaluable, is_allowed, SafetyViolation};
 use crate::eqreduce::equality_reduce;
 use crate::generator::ConjunctChoice;
@@ -22,10 +23,9 @@ use rc_formula::vars::{free_vars, is_rectified, rectified};
 use rc_relalg::govern::{Budget, BudgetExceeded, Stage};
 use rc_relalg::{
     eval_shared, eval_traced, materialize, refresh, worth_refreshing, Database, Estimator,
-    EvalError, EvalStats, MaintainedView, PipelineTrace, PlanCache, RaExpr, RefreshError, Relation,
-    SharedPlanCache, StageTracer, Tracer,
+    EvalError, EvalStats, MaintainedView, PipelineTrace, RaExpr, RefreshError, Relation,
+    SharedPlanCache, StageTracer, TableDelta, Tracer,
 };
-use std::cell::RefCell;
 use std::fmt;
 use std::hash::{Hash, Hasher};
 use std::sync::Arc;
@@ -160,7 +160,7 @@ impl Default for CompileOptions {
 impl CompileOptions {
     /// Fingerprint of the *semantic* options — the ones that change what
     /// plan a query text compiles to. Used as part of the
-    /// [`PlanCache`] plan key so that toggling, say, the optimizer cannot
+    /// [`SharedPlanCache`] plan key so that toggling, say, the optimizer cannot
     /// serve a plan compiled under different options. The budget is
     /// deliberately excluded: it bounds resources, never the plan.
     pub fn cache_key(&self) -> u64 {
@@ -451,33 +451,16 @@ impl Compiled {
     /// Evaluate the compiled query.
     pub fn run(&self, db: &Database) -> Result<Relation, EvalError> {
         let mut stats = EvalStats::default();
-        self.run_with_stats(db, &mut stats)
+        self.run_traced(db, &mut stats, Budget::unlimited(), &mut Tracer::off())
     }
 
-    /// Evaluate while accumulating operator statistics.
-    pub fn run_with_stats(
-        &self,
-        db: &Database,
-        stats: &mut EvalStats,
-    ) -> Result<Relation, EvalError> {
-        self.run_governed(db, stats, Budget::unlimited())
-    }
-
-    /// Evaluate under a resource [`Budget`]: either exactly the ungoverned
-    /// answer or an [`EvalError::Budget`] — never a truncated relation.
-    pub fn run_governed(
-        &self,
-        db: &Database,
-        stats: &mut EvalStats,
-        budget: &Budget,
-    ) -> Result<Relation, EvalError> {
-        self.run_traced(db, stats, budget, &mut Tracer::off())
-    }
-
-    /// [`Compiled::run_governed`] recording an operator span tree into
-    /// `tracer` (input/output cardinalities, kernel row counts, dedup
-    /// ratios, parallel-vs-sequential path) — including a partial tree
-    /// when the evaluation errors.
+    /// Evaluate under a resource [`Budget`] — either exactly the ungoverned
+    /// answer or an [`EvalError::Budget`], never a truncated relation —
+    /// accumulating operator statistics into `stats` and recording an
+    /// operator span tree into `tracer` (input/output cardinalities, kernel
+    /// row counts, dedup ratios, parallel-vs-sequential path), including a
+    /// partial tree when the evaluation errors. Pass [`Tracer::off`] to
+    /// skip the tree.
     pub fn run_traced(
         &self,
         db: &Database,
@@ -499,8 +482,7 @@ impl Compiled {
     /// DAG) are each evaluated once per run and served from a memo table
     /// afterwards — [`EvalStats::memo_hits`] counts the services and the
     /// reused subplans appear as `cache_hit` leaf spans. Same answer and
-    /// budget semantics as [`Compiled::run_traced`]; used by the cached
-    /// serving path ([`compile_and_eval_cached`]).
+    /// budget semantics as [`Compiled::run_traced`].
     pub fn run_shared(
         &self,
         db: &Database,
@@ -706,7 +688,7 @@ pub fn compile_and_eval(
     let budget = opts.budget.clone();
     let compiled = compile_for(&f, opts, db).map_err(PipelineError::from)?;
     let mut stats = EvalStats::default();
-    let relation = compiled.run_governed(db, &mut stats, &budget)?;
+    let relation = compiled.run_traced(db, &mut stats, &budget, &mut Tracer::off())?;
     Ok(QueryOutput {
         compiled,
         relation,
@@ -714,7 +696,7 @@ pub fn compile_and_eval(
     })
 }
 
-/// What [`compile_and_eval_cached`] produces: the shared compiled plan,
+/// What [`compile_and_eval_shared`] produces: the shared compiled plan,
 /// the answer, evaluation counters, and which cache layers were hit.
 #[derive(Clone, Debug)]
 pub struct CachedQueryOutput {
@@ -739,10 +721,14 @@ pub struct CachedQueryOutput {
     pub result_refreshed: bool,
 }
 
-/// [`compile_and_eval`] through a cross-run [`PlanCache`]: re-serving the
-/// same query text (under the same semantic options) skips
-/// parse → classify → genify → ranf → translate → optimize, and — while
-/// the database version is unchanged — evaluation too.
+/// [`compile_and_eval`] through a cross-run, concurrently shared
+/// [`SharedPlanCache`]: re-serving the same query text (under the same
+/// semantic options) skips parse → classify → genify → ranf → translate →
+/// optimize, and — while the database version is unchanged — evaluation
+/// too. Callable from any number of threads through `&self`: a query
+/// server's workers each snapshot the database (O(1) `Arc`'d relation
+/// clones) and serve through one process-wide cache, so a formula
+/// compiled for any client is warm for every client.
 ///
 /// Key and invalidation contract (see [`rc_relalg::cache`]):
 ///
@@ -758,194 +744,72 @@ pub struct CachedQueryOutput {
 /// checkpoint (so deadlines and cancellation fire) and charges the
 /// materialized cardinality against the tuple budget — a cache hit can
 /// trip a tight budget exactly like the evaluation it stands in for.
-/// Evaluation misses run through [`Compiled::run_shared`], so duplicated
-/// subplans inside one query are computed once even on a cold serve.
+/// Evaluation misses materialize every subplan once (duplicated subplans
+/// inside one query are computed once even on a cold serve) into a view
+/// that later mutations delta-refresh.
 ///
 /// ```
-/// use rc_safety::pipeline::{compile_and_eval_cached, CompileOptions};
-/// use rc_relalg::{Database, PlanCache};
+/// use rc_safety::pipeline::{compile_and_eval_shared, CompileOptions};
+/// use rc_relalg::{Database, SharedPlanCache};
 ///
 /// let db = Database::from_facts("P(1, 1)\nP(1, 2)\nQ(1)").unwrap();
-/// let mut cache = PlanCache::new();
-/// let cold = compile_and_eval_cached("P(x, y) & Q(x)", &db, CompileOptions::default(), &mut cache)
+/// let cache = SharedPlanCache::new();
+/// let cold = compile_and_eval_shared("P(x, y) & Q(x)", &db, CompileOptions::default(), &cache)
 ///     .unwrap();
 /// assert!(!cold.plan_cached && !cold.result_cached);
-/// let warm = compile_and_eval_cached("P(x, y) & Q(x)", &db, CompileOptions::default(), &mut cache)
+/// let warm = compile_and_eval_shared("P(x, y) & Q(x)", &db, CompileOptions::default(), &cache)
 ///     .unwrap();
 /// assert!(warm.plan_cached && warm.result_cached);
 /// assert_eq!(cold.relation, warm.relation);
 /// ```
-pub fn compile_and_eval_cached(
-    text: &str,
-    db: &Database,
-    opts: CompileOptions,
-    cache: &mut PlanCache<Compiled>,
-) -> Result<CachedQueryOutput, PipelineError> {
-    compile_and_eval_in(text, db, opts, &Exclusive(RefCell::new(cache)))
-}
-
-/// [`compile_and_eval_cached`] against a *concurrently shared* cache: the
-/// exact same serving path (one implementation — see [`PlanStore`]), but
-/// callable from any number of threads through `&self`. This is the
-/// entry point a multi-client query server uses: each worker snapshots the
-/// database (O(1) `Arc`'d relation clones) and serves through one
-/// process-wide [`SharedPlanCache`], so a formula compiled for any client
-/// is warm for every client.
 pub fn compile_and_eval_shared(
     text: &str,
     db: &Database,
     opts: CompileOptions,
     cache: &SharedPlanCache<Compiled>,
 ) -> Result<CachedQueryOutput, PipelineError> {
-    compile_and_eval_in(text, db, opts, cache)
+    serve_leg(text, 0, None, db, &opts, cache)
 }
 
-/// The cache surface the cached serving path needs, abstracted so the
-/// single-threaded [`PlanCache`] (exclusive `&mut`, zero synchronization)
-/// and the lock-sharded [`SharedPlanCache`] serve through *one* code path
-/// — the differential suite's byte-identical guarantee between in-process
-/// and server-side serving holds by construction, not by parallel
-/// maintenance of two implementations.
-pub trait PlanStore {
-    /// See [`PlanCache::lookup_plan`].
-    fn lookup_plan(
-        &self,
-        text: &str,
-        opts_key: u64,
-        stats_epoch: u64,
-    ) -> Option<(Arc<Compiled>, u64)>;
-    /// See [`PlanCache::insert_plan`].
-    fn insert_plan(
-        &self,
-        text: &str,
-        opts_key: u64,
-        stats_epoch: u64,
-        compiled: Compiled,
-        plan_hash: u64,
-    ) -> Arc<Compiled>;
-    /// See [`PlanCache::lookup_result`].
-    fn lookup_result(&self, plan_hash: u64, db_version: u64) -> Option<Relation>;
-    /// See [`PlanCache::insert_result`].
-    fn insert_result(&self, plan_hash: u64, db_version: u64, rel: Relation);
-    /// See [`PlanCache::register_view`].
-    fn register_view(&self, plan_hash: u64, view: MaintainedView);
-    /// See [`PlanCache::view_snapshot`].
-    fn view_snapshot(&self, plan_hash: u64) -> Option<MaintainedView>;
-    /// See [`PlanCache::install_refreshed`].
-    fn install_refreshed(&self, plan_hash: u64, view: MaintainedView, rel: Relation);
-}
-
-/// Adapter giving an exclusively borrowed [`PlanCache`] the [`PlanStore`]
-/// shape (interior mutability is safe: the borrow is exclusive).
-pub(crate) struct Exclusive<'a>(pub(crate) RefCell<&'a mut PlanCache<Compiled>>);
-
-impl PlanStore for Exclusive<'_> {
-    fn lookup_plan(
-        &self,
-        text: &str,
-        opts_key: u64,
-        stats_epoch: u64,
-    ) -> Option<(Arc<Compiled>, u64)> {
-        self.0.borrow_mut().lookup_plan(text, opts_key, stats_epoch)
-    }
-
-    fn insert_plan(
-        &self,
-        text: &str,
-        opts_key: u64,
-        stats_epoch: u64,
-        compiled: Compiled,
-        plan_hash: u64,
-    ) -> Arc<Compiled> {
-        self.0
-            .borrow_mut()
-            .insert_plan(text, opts_key, stats_epoch, compiled, plan_hash)
-    }
-
-    fn lookup_result(&self, plan_hash: u64, db_version: u64) -> Option<Relation> {
-        self.0.borrow_mut().lookup_result(plan_hash, db_version)
-    }
-
-    fn insert_result(&self, plan_hash: u64, db_version: u64, rel: Relation) {
-        self.0
-            .borrow_mut()
-            .insert_result(plan_hash, db_version, rel)
-    }
-
-    fn register_view(&self, plan_hash: u64, view: MaintainedView) {
-        self.0.borrow_mut().register_view(plan_hash, view)
-    }
-
-    fn view_snapshot(&self, plan_hash: u64) -> Option<MaintainedView> {
-        self.0.borrow().view_snapshot(plan_hash)
-    }
-
-    fn install_refreshed(&self, plan_hash: u64, view: MaintainedView, rel: Relation) {
-        self.0.borrow_mut().install_refreshed(plan_hash, view, rel)
-    }
-}
-
-impl PlanStore for SharedPlanCache<Compiled> {
-    fn lookup_plan(
-        &self,
-        text: &str,
-        opts_key: u64,
-        stats_epoch: u64,
-    ) -> Option<(Arc<Compiled>, u64)> {
-        SharedPlanCache::lookup_plan(self, text, opts_key, stats_epoch)
-    }
-
-    fn insert_plan(
-        &self,
-        text: &str,
-        opts_key: u64,
-        stats_epoch: u64,
-        compiled: Compiled,
-        plan_hash: u64,
-    ) -> Arc<Compiled> {
-        SharedPlanCache::insert_plan(self, text, opts_key, stats_epoch, compiled, plan_hash)
-    }
-
-    fn lookup_result(&self, plan_hash: u64, db_version: u64) -> Option<Relation> {
-        SharedPlanCache::lookup_result(self, plan_hash, db_version)
-    }
-
-    fn insert_result(&self, plan_hash: u64, db_version: u64, rel: Relation) {
-        SharedPlanCache::insert_result(self, plan_hash, db_version, rel)
-    }
-
-    fn register_view(&self, plan_hash: u64, view: MaintainedView) {
-        SharedPlanCache::register_view(self, plan_hash, view)
-    }
-
-    fn view_snapshot(&self, plan_hash: u64) -> Option<MaintainedView> {
-        SharedPlanCache::view_snapshot(self, plan_hash)
-    }
-
-    fn install_refreshed(&self, plan_hash: u64, view: MaintainedView, rel: Relation) {
-        SharedPlanCache::install_refreshed(self, plan_hash, view, rel)
-    }
-}
-
-pub(crate) fn compile_and_eval_in(
+/// The one cached serving path, behind [`compile_and_eval_shared`] and
+/// both legs of [`crate::anyrc::compile_and_eval_any_shared`]'s safe
+/// pair: plan lookup → result lookup → delta refresh → full evaluation.
+///
+/// `salt` is XORed into the plan key, so a query's plan and its two
+/// safe-pair legs share the cache under the one query text without
+/// colliding. With `guard` `None` the query text itself compiles against
+/// `db`; a safe-pair leg instead compiles its relativized formula against
+/// `db` plus the leg's guard table, built only on a compile or evaluation
+/// miss. Results and views are stamped with the version of `db` either
+/// way.
+pub(crate) fn serve_leg(
     text: &str,
+    salt: u64,
+    guard: Option<&LegGuard>,
     db: &Database,
-    opts: CompileOptions,
-    cache: &impl PlanStore,
+    opts: &CompileOptions,
+    cache: &SharedPlanCache<Compiled>,
 ) -> Result<CachedQueryOutput, PipelineError> {
     // Capture the version before `prepare` clones-and-declares inside the
     // eval path; the clone's declares must not disturb our key.
     let db_version = db.version();
-    let opts_key = opts.cache_key();
+    let opts_key = opts.cache_key() ^ salt;
     // Plans compiled without the cost-based planner never read statistics,
     // so they share the epoch-0 key space regardless of feedback.
     let stats_epoch = if opts.optimize { db.stats_epoch() } else { 0 };
-    let budget = opts.budget.clone();
+    let budget = &opts.budget;
+    let mut aug: Option<Database> = None;
     let (compiled, plan_hash, plan_cached) = match cache.lookup_plan(text, opts_key, stats_epoch) {
         Some((compiled, hash)) => (compiled, hash, true),
         None => {
-            let f = rc_formula::parse(text).map_err(PipelineError::Parse)?;
-            let compiled = compile_for(&f, opts, db).map_err(PipelineError::from)?;
+            let compiled = match guard {
+                None => {
+                    let f = rc_formula::parse(text).map_err(PipelineError::Parse)?;
+                    compile_for(&f, opts.clone(), db)
+                }
+                Some(g) => compile_for(&g.leg, opts.clone(), aug.insert(g.augment(db))),
+            }
+            .map_err(PipelineError::from)?;
             let hash = rc_relalg::plan_hash(&compiled.expr);
             (
                 cache.insert_plan(text, opts_key, stats_epoch, compiled, hash),
@@ -955,96 +819,121 @@ pub(crate) fn compile_and_eval_in(
         }
     };
     let mut stats = EvalStats::default();
-    if let Some(relation) = cache.lookup_result(plan_hash, db_version) {
-        // Serving from cache still consumes governance: one checkpoint
-        // (deadline/cancellation) plus the answer's cardinality against
-        // the tuple budget.
-        stats.budget_checks += 1;
-        budget
-            .checkpoint(Stage::Eval)
-            .and_then(|()| budget.charge_tuples(Stage::Eval, relation.len() as u64))
-            .map_err(PipelineError::Budget)?;
-        return Ok(CachedQueryOutput {
-            compiled,
-            relation,
-            stats,
-            plan_cached,
-            result_cached: true,
-            result_refreshed: false,
-        });
-    }
-    // The result entry missed (cold, or stale by some mutation). Before
-    // re-evaluating, try to *advance* the registered maintained view by
-    // the delta chain bridging its version to ours: O(|Δ|·fanout) merge
-    // work instead of a full evaluation. The attempt is skipped when the
-    // chain is unknown (non-delta mutation, evicted journal link) or when
-    // the cost gate says the delta is too large relative to the estimated
-    // full cost; it is *abandoned* — with the cached entry left exactly
-    // as it was — on a budget trip or an unsupported shape.
-    if let Some(view) = cache.view_snapshot(plan_hash) {
-        if view.base_version() != db_version {
-            if let Some(chain) = db.delta_chain(view.base_version(), db_version) {
-                // Lazy: a trickle-sized delta refreshes without ever
-                // asking the estimator (whose table statistics were just
-                // invalidated by the mutation and would rebuild in O(n)).
-                let full_cost = || Estimator::new(db).cost(&compiled.expr);
-                if worth_refreshing(&view, &chain, full_cost) {
-                    match refresh(
-                        &view,
-                        &chain,
-                        db_version,
-                        &mut stats,
-                        &budget,
-                        &mut Tracer::off(),
-                    ) {
-                        Ok((refreshed_view, relation)) => {
-                            // A refreshed serve still charges the answer's
-                            // cardinality, exactly like a verbatim hit — a
-                            // small delta must not smuggle a large cached
-                            // relation past the tuple budget. Charged
-                            // *before* install so a trip leaves the cache
-                            // untouched.
-                            stats.budget_checks += 1;
-                            budget
-                                .checkpoint(Stage::Eval)
-                                .and_then(|()| {
-                                    budget.charge_tuples(Stage::Eval, relation.len() as u64)
-                                })
-                                .map_err(PipelineError::Budget)?;
-                            cache.install_refreshed(plan_hash, refreshed_view, relation.clone());
-                            return Ok(CachedQueryOutput {
-                                compiled,
-                                relation,
-                                stats,
-                                plan_cached,
-                                result_cached: true,
-                                result_refreshed: true,
-                            });
-                        }
-                        Err(RefreshError::Budget(b)) => return Err(PipelineError::Budget(b)),
-                        Err(RefreshError::Unsupported(_)) => {
-                            // Fall back to full evaluation with clean
-                            // counters (partial refresh accounting would
-                            // pollute the cold-path statistics).
-                            stats = EvalStats::default();
-                        }
-                    }
-                }
-            }
-        }
-    }
-    let (relation, view) =
-        compiled.run_maintained(db, db_version, &mut stats, &budget, &mut Tracer::off())?;
-    cache.insert_result(plan_hash, db_version, relation.clone());
-    cache.register_view(plan_hash, view);
+    let (relation, result_cached, result_refreshed) = if let Some(relation) =
+        cache.lookup_result(plan_hash, db_version)
+    {
+        charge_served(budget, &mut stats, &relation)?;
+        (relation, true, false)
+    } else if let Some(relation) = refresh_view(
+        cache, plan_hash, &compiled, guard, db, db_version, &mut stats, budget,
+    )? {
+        (relation, true, true)
+    } else {
+        let eval_db = match guard {
+            None => db,
+            Some(g) => aug.get_or_insert_with(|| g.augment(db)),
+        };
+        let (relation, view) =
+            compiled.run_maintained(eval_db, db_version, &mut stats, budget, &mut Tracer::off())?;
+        cache.insert_result(plan_hash, db_version, relation.clone());
+        cache.register_view(plan_hash, view);
+        (relation, false, false)
+    };
     Ok(CachedQueryOutput {
         compiled,
         relation,
         stats,
         plan_cached,
-        result_cached: false,
-        result_refreshed: false,
+        result_cached,
+        result_refreshed,
     })
+}
+
+/// The result entry missed (cold, or stale by some mutation). Before
+/// re-evaluating, try to *advance* the registered maintained view by the
+/// delta chain bridging its version to ours: O(|Δ|·fanout) merge work
+/// instead of a full evaluation. Returns `None` — with the cached entry
+/// left exactly as it was — when the chain is unknown (non-delta
+/// mutation, evicted journal link), when a leg's guard table cannot be
+/// recovered from the view, when the cost gate says the delta is too
+/// large relative to the estimated full cost, or on an unsupported shape.
+#[allow(clippy::too_many_arguments)]
+fn refresh_view(
+    cache: &SharedPlanCache<Compiled>,
+    plan_hash: u64,
+    compiled: &Compiled,
+    guard: Option<&LegGuard>,
+    db: &Database,
+    db_version: u64,
+    stats: &mut EvalStats,
+    budget: &Budget,
+) -> Result<Option<Relation>, PipelineError> {
+    let Some(view) = cache.view_snapshot(plan_hash) else {
+        return Ok(None);
+    };
+    if view.base_version() == db_version {
+        return Ok(None);
+    }
+    let Some(mut chain) = db.delta_chain(view.base_version(), db_version) else {
+        return Ok(None);
+    };
+    if let Some(g) = guard.filter(|g| view.preds().contains(&g.pred)) {
+        // The guard table lives only inside the view, so the base delta
+        // chain says nothing about it. Recover the old contents from the
+        // view's materialized scan, build the new contents from the
+        // current database, and splice the set difference into the chain.
+        // A guard that is scanned but not recoverable (the optimizer
+        // rewrote the full-table scan away) forces a full re-evaluation.
+        let Some(old) = view.scan_contents(g.pred) else {
+            return Ok(None);
+        };
+        let new = g.relation(db);
+        let delta = TableDelta {
+            plus: new.minus(old),
+            minus: old.minus(&new),
+        };
+        chain.insert_table(g.pred, delta);
+    }
+    // Lazy: a trickle-sized delta refreshes without ever asking the
+    // estimator (whose table statistics were just invalidated by the
+    // mutation and would rebuild in O(n)).
+    let full_cost = || Estimator::new(db).cost(&compiled.expr);
+    if !worth_refreshing(&view, &chain, full_cost) {
+        return Ok(None);
+    }
+    match refresh(&view, &chain, db_version, stats, budget, &mut Tracer::off()) {
+        Ok((refreshed_view, relation)) => {
+            // A refreshed serve still charges the answer's cardinality,
+            // exactly like a verbatim hit — a small delta must not smuggle
+            // a large cached relation past the tuple budget. Charged
+            // *before* install so a trip leaves the cache untouched.
+            charge_served(budget, stats, &relation)?;
+            cache.install_refreshed(plan_hash, refreshed_view, relation.clone());
+            Ok(Some(relation))
+        }
+        Err(RefreshError::Budget(b)) => Err(PipelineError::Budget(b)),
+        Err(RefreshError::Unsupported(_)) => {
+            // Fall back to full evaluation with clean counters (partial
+            // refresh accounting would pollute the cold-path statistics).
+            *stats = EvalStats::default();
+            Ok(None)
+        }
+    }
+}
+
+/// Serving from cache still consumes governance: one checkpoint
+/// (deadline/cancellation) plus the answer's cardinality against the
+/// tuple budget.
+fn charge_served(
+    budget: &Budget,
+    stats: &mut EvalStats,
+    relation: &Relation,
+) -> Result<(), PipelineError> {
+    stats.budget_checks += 1;
+    budget
+        .checkpoint(Stage::Eval)
+        .and_then(|()| budget.charge_tuples(Stage::Eval, relation.len() as u64))
+        .map_err(PipelineError::Budget)
 }
 
 /// [`compile_and_eval`] with full observability: returns the
@@ -1059,7 +948,7 @@ pub(crate) fn compile_and_eval_in(
 /// compilation of a query touching the same subplans re-plans against
 /// observed truth instead of estimates. Harvesting that *changes* a stored
 /// observation moves [`Database::stats_epoch`], which retires cached plans
-/// built against the stale statistics (see [`compile_and_eval_cached`]).
+/// built against the stale statistics (see [`compile_and_eval_shared`]).
 pub fn compile_and_eval_traced(
     text: &str,
     db: &Database,
@@ -1072,8 +961,25 @@ pub fn compile_and_eval_traced(
         Err(e) => return (Err(PipelineError::Parse(e)), st.into_trace(None)),
     };
     st.end(f.node_count() as u64, String::new());
+    let (result, trace) = traced_leg(&f, db, opts, st);
+    if let Ok(out) = &result {
+        rc_relalg::harvest_actuals(&out.compiled.expr, trace.root.as_ref(), db);
+    }
+    (result, trace)
+}
+
+/// The traced core of [`compile_and_eval_traced`] and of each leg of
+/// [`crate::anyrc::compile_and_eval_any_traced`]: compile `f` against
+/// `db` with one span per stage appended to `st`, then evaluate it under
+/// an operator tracer. On an error the open span is sealed as failed.
+pub(crate) fn traced_leg(
+    f: &Formula,
+    db: &Database,
+    opts: CompileOptions,
+    mut st: StageTracer,
+) -> (Result<QueryOutput, PipelineError>, PipelineTrace) {
     let budget = opts.budget.clone();
-    let compiled = match compile_traced_for(&f, opts, Some(db), &mut st) {
+    let compiled = match compile_traced_for(f, opts, Some(db), &mut st) {
         Ok(c) => c,
         Err(e) => return (Err(e.into()), st.into_trace(None)),
     };
@@ -1086,14 +992,12 @@ pub fn compile_and_eval_traced(
                 relation.len() as u64,
                 format!("tuples_produced={}", stats.tuples_produced),
             );
-            let trace = st.into_trace(tracer.finish());
-            rc_relalg::harvest_actuals(&compiled.expr, trace.root.as_ref(), db);
             let out = QueryOutput {
                 compiled,
                 relation,
                 stats,
             };
-            (Ok(out), trace)
+            (Ok(out), st.into_trace(tracer.finish()))
         }
         Err(e) => (Err(e.into()), st.into_trace(tracer.finish())),
     }

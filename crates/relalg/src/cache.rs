@@ -3,7 +3,7 @@
 //! A REPL or server loop re-serving the same formula should not pay for
 //! parse → classify → genify → RANF → translate → optimize on every
 //! request, and — until the database changes — should not pay for
-//! evaluation either. [`PlanCache`] provides both layers:
+//! evaluation either. [`SharedPlanCache`] provides both layers:
 //!
 //! * **Plan entries** map the query *text* (plus a caller-supplied options
 //!   fingerprint and the database's *statistics epoch*) to an arbitrary
@@ -26,23 +26,23 @@
 //!   leftovers eagerly.
 //!
 //! The payload type is generic because this crate only knows about algebra
-//! expressions — `rc-core` instantiates `PlanCache` with its full compiled
-//! pipeline artifact.
+//! expressions — `rc-core` instantiates `SharedPlanCache` with its full
+//! compiled pipeline artifact.
 //!
 //! Governance interaction: the cache stores only *completed* results.
 //! Serving a hit still passes through the caller's budget accounting (see
-//! `compile_and_eval_cached` in `rc-core`), charging the materialized
+//! `compile_and_eval_shared` in `rc-core`), charging the materialized
 //! cardinality, so a cached answer cannot bypass tuple limits.
 //!
-//! [`purge_stale`]: PlanCache::purge_stale
+//! [`purge_stale`]: SharedPlanCache::purge_stale
 
 use crate::ivm::MaintainedView;
 use crate::relation::Relation;
 use rc_formula::fxhash::{FxHashMap, FxHasher};
 use std::hash::{Hash, Hasher};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 
-/// Hit/miss counters for a [`PlanCache`].
+/// Hit/miss counters for a [`SharedPlanCache`].
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct CacheStats {
     /// Plan lookups served from the cache.
@@ -62,7 +62,7 @@ pub struct CacheStats {
     /// ≤ `stale_results` over any window where only the maintenance layer
     /// writes refreshed entries.
     pub refreshed_results: u64,
-    /// Result entries dropped by [`PlanCache::purge_stale`] — stale
+    /// Result entries dropped by [`SharedPlanCache::purge_stale`] — stale
     /// entries that were *evicted* rather than refreshed.
     pub evicted_results: u64,
 }
@@ -88,17 +88,16 @@ fn rate(hits: u64, misses: u64) -> f64 {
     }
 }
 
-/// A versioned plan/result cache; see the [module docs](self) for the key
-/// and invalidation contract.
-pub struct PlanCache<P> {
+/// One lock shard of a [`SharedPlanCache`].
+struct PlanCache<P> {
     plans: FxHashMap<(String, u64, u64), (Arc<P>, u64)>,
     results: FxHashMap<u64, (u64, Relation)>,
     /// Materialized standing queries keyed by plan hash — the substrate
     /// the maintenance layer refreshes when a result entry goes stale by
     /// a known delta chain. At most one view per plan (latest wins), and
-    /// views deliberately survive [`PlanCache::purge_stale`]: a purged
-    /// result is gone, but the view can still be delta-advanced to the
-    /// current version, which is the whole point.
+    /// views deliberately survive [`SharedPlanCache::purge_stale`]: a
+    /// purged result is gone, but the view can still be delta-advanced to
+    /// the current version, which is the whole point.
     views: FxHashMap<u64, MaintainedView>,
     stats: CacheStats,
 }
@@ -114,158 +113,15 @@ impl<P> Default for PlanCache<P> {
     }
 }
 
-impl<P> PlanCache<P> {
-    /// An empty cache.
-    pub fn new() -> PlanCache<P> {
-        PlanCache::default()
-    }
-
-    /// Look up a compiled plan by query text, options fingerprint, and the
-    /// statistics epoch it was planned under (`0` when the cost-based
-    /// planner was off). Returns the payload and its plan hash.
-    pub fn lookup_plan(
-        &mut self,
-        text: &str,
-        opts_key: u64,
-        stats_epoch: u64,
-    ) -> Option<(Arc<P>, u64)> {
-        // Keying by (text, opts, epoch) without allocating would need a
-        // borrowed tuple key; one short String per lookup is noise next to
-        // the compile it saves.
-        match self.plans.get(&(text.to_string(), opts_key, stats_epoch)) {
-            Some((p, h)) => {
-                self.stats.plan_hits += 1;
-                Some((p.clone(), *h))
-            }
-            None => {
-                self.stats.plan_misses += 1;
-                None
-            }
-        }
-    }
-
-    /// Store a compiled plan under its query text, options fingerprint, and
-    /// statistics epoch. Returns the shared payload for immediate use.
-    pub fn insert_plan(
-        &mut self,
-        text: impl Into<String>,
-        opts_key: u64,
-        stats_epoch: u64,
-        payload: P,
-        plan_hash: u64,
-    ) -> Arc<P> {
-        let payload = Arc::new(payload);
-        self.plans.insert(
-            (text.into(), opts_key, stats_epoch),
-            (payload.clone(), plan_hash),
-        );
-        payload
-    }
-
-    /// Look up a materialized result for a plan, valid only against the
-    /// exact database version it was computed for.
-    pub fn lookup_result(&mut self, plan_hash: u64, db_version: u64) -> Option<Relation> {
-        match self.results.get(&plan_hash) {
-            Some((v, rel)) if *v == db_version => {
-                self.stats.result_hits += 1;
-                Some(rel.clone())
-            }
-            Some(_) => {
-                self.stats.stale_results += 1;
-                self.stats.result_misses += 1;
-                None
-            }
-            None => {
-                self.stats.result_misses += 1;
-                None
-            }
-        }
-    }
-
-    /// Store a materialized result, replacing any entry for the same plan
-    /// (including stale ones from earlier database versions).
-    pub fn insert_result(&mut self, plan_hash: u64, db_version: u64, rel: Relation) {
-        self.results.insert(plan_hash, (db_version, rel));
-    }
-
-    /// Drop every result entry not computed against `db_version`. Returns
-    /// the number evicted (also accumulated into
-    /// [`CacheStats::evicted_results`]). Plan entries are untouched (they
-    /// are version-independent), and so are maintained views — a view is
-    /// exactly the state that lets a *future* lookup skip recomputation,
-    /// stale or not.
-    pub fn purge_stale(&mut self, db_version: u64) -> usize {
-        let before = self.results.len();
-        self.results.retain(|_, (v, _)| *v == db_version);
-        let evicted = before - self.results.len();
-        self.stats.evicted_results += evicted as u64;
-        evicted
-    }
-
-    /// Register (or replace) the materialized standing query backing a
-    /// result entry, so later mutations can refresh instead of evict.
-    pub fn register_view(&mut self, plan_hash: u64, view: MaintainedView) {
-        self.views.insert(plan_hash, view);
-    }
-
-    /// A clone of the maintained view registered for a plan, if any. The
-    /// clone is cheap in spirit (canonical buffers are contiguous) and
-    /// deliberate in letter: refresh happens *outside* any cache lock,
-    /// against a snapshot, and only a fully successful refresh is
-    /// installed back — a failed or abandoned refresh leaves the cache
-    /// holding exactly the old state.
-    pub fn view_snapshot(&self, plan_hash: u64) -> Option<MaintainedView> {
-        self.views.get(&plan_hash).cloned()
-    }
-
-    /// Install a successfully refreshed view and its root result, bumping
-    /// [`CacheStats::refreshed_results`]. The result entry is stamped
-    /// with the view's new base version.
-    pub fn install_refreshed(&mut self, plan_hash: u64, view: MaintainedView, rel: Relation) {
-        self.results.insert(plan_hash, (view.base_version(), rel));
-        self.views.insert(plan_hash, view);
-        self.stats.refreshed_results += 1;
-    }
-
-    /// Number of maintained views currently registered.
-    pub fn view_count(&self) -> usize {
-        self.views.len()
-    }
-
-    /// Number of cached plans.
-    pub fn plan_count(&self) -> usize {
-        self.plans.len()
-    }
-
-    /// Number of cached results.
-    pub fn result_count(&self) -> usize {
-        self.results.len()
-    }
-
-    /// Hit/miss counters so far.
-    pub fn stats(&self) -> CacheStats {
-        self.stats
-    }
-
-    /// Drop all entries (including maintained views) and reset the
-    /// counters.
-    pub fn clear(&mut self) {
-        self.plans.clear();
-        self.results.clear();
-        self.views.clear();
-        self.stats = CacheStats::default();
-    }
-}
-
 /// How many independently locked shards a [`SharedPlanCache`] spreads its
 /// entries over. A power of two so the shard pick is a mask; 16 keeps lock
 /// contention negligible for any worker count this process can host while
 /// costing only 16 small maps.
 pub const CACHE_SHARDS: usize = 16;
 
-/// A process-wide, concurrently shareable [`PlanCache`]: the same
-/// plan/result layers and the same key-and-invalidation contract, but
-/// callable from any number of threads through `&self`.
+/// A versioned plan/result cache (see the [module docs](self) for the key
+/// and invalidation contract), callable from any number of threads
+/// through `&self`.
 ///
 /// Internally the cache is *lock-sharded*: [`CACHE_SHARDS`] independent
 /// `Mutex<PlanCache>` shards, with plan entries routed by a hash of the
@@ -288,7 +144,7 @@ impl<P> Default for SharedPlanCache<P> {
     fn default() -> Self {
         SharedPlanCache {
             shards: (0..CACHE_SHARDS)
-                .map(|_| Mutex::new(PlanCache::new()))
+                .map(|_| Mutex::new(PlanCache::default()))
                 .collect(),
         }
     }
@@ -313,35 +169,49 @@ impl<P> SharedPlanCache<P> {
         SharedPlanCache::default()
     }
 
-    fn plan_shard(&self, text: &str, opts_key: u64, epoch: u64) -> &Mutex<PlanCache<P>> {
-        &self.shards[shard_of_text(text, opts_key, epoch)]
+    fn plan_shard(&self, text: &str, opts_key: u64, epoch: u64) -> MutexGuard<'_, PlanCache<P>> {
+        Self::lock(&self.shards[shard_of_text(text, opts_key, epoch)])
     }
 
-    fn result_shard(&self, plan_hash: u64) -> &Mutex<PlanCache<P>> {
-        &self.shards[shard_of_hash(plan_hash)]
+    fn result_shard(&self, plan_hash: u64) -> MutexGuard<'_, PlanCache<P>> {
+        Self::lock(&self.shards[shard_of_hash(plan_hash)])
     }
 
-    fn lock(shard: &Mutex<PlanCache<P>>) -> std::sync::MutexGuard<'_, PlanCache<P>> {
+    fn lock(shard: &Mutex<PlanCache<P>>) -> MutexGuard<'_, PlanCache<P>> {
         shard.lock().unwrap_or_else(|poison| poison.into_inner())
     }
 
-    /// Concurrent [`PlanCache::lookup_plan`].
+    /// Look up a compiled plan by query text, options fingerprint, and the
+    /// statistics epoch it was planned under (`0` when the cost-based
+    /// planner was off). Returns the payload and its plan hash.
     pub fn lookup_plan(
         &self,
         text: &str,
         opts_key: u64,
         stats_epoch: u64,
     ) -> Option<(Arc<P>, u64)> {
-        Self::lock(self.plan_shard(text, opts_key, stats_epoch)).lookup_plan(
-            text,
-            opts_key,
-            stats_epoch,
-        )
+        let mut guard = self.plan_shard(text, opts_key, stats_epoch);
+        let shard = &mut *guard;
+        // Keying by (text, opts, epoch) without allocating would need a
+        // borrowed tuple key; one short String per lookup is noise next to
+        // the compile it saves.
+        match shard.plans.get(&(text.to_string(), opts_key, stats_epoch)) {
+            Some((p, h)) => {
+                shard.stats.plan_hits += 1;
+                Some((p.clone(), *h))
+            }
+            None => {
+                shard.stats.plan_misses += 1;
+                None
+            }
+        }
     }
 
-    /// Concurrent [`PlanCache::insert_plan`]. When another thread raced the
-    /// same compile and inserted first, *its* payload wins and is returned,
-    /// so every caller converges on one shared `Arc` per key.
+    /// Store a compiled plan under its query text, options fingerprint, and
+    /// statistics epoch, returning the shared payload for immediate use.
+    /// When another thread raced the same compile and inserted first, *its*
+    /// payload wins and is returned, so every caller converges on one
+    /// shared `Arc` per key.
     pub fn insert_plan(
         &self,
         text: &str,
@@ -350,68 +220,106 @@ impl<P> SharedPlanCache<P> {
         payload: P,
         plan_hash: u64,
     ) -> Arc<P> {
-        let mut shard = Self::lock(self.plan_shard(text, opts_key, stats_epoch));
+        let mut shard = self.plan_shard(text, opts_key, stats_epoch);
         // Probe the map directly: a racing-insert convergence check is not
         // a lookup and must not touch the hit/miss counters.
-        if let Some((existing, _)) = shard.plans.get(&(text.to_string(), opts_key, stats_epoch)) {
-            return existing.clone();
-        }
-        shard.insert_plan(text, opts_key, stats_epoch, payload, plan_hash)
+        let (payload, _) = shard
+            .plans
+            .entry((text.to_string(), opts_key, stats_epoch))
+            .or_insert_with(|| (Arc::new(payload), plan_hash));
+        payload.clone()
     }
 
-    /// Concurrent [`PlanCache::lookup_result`].
+    /// Look up a materialized result for a plan, valid only against the
+    /// exact database version it was computed for.
     pub fn lookup_result(&self, plan_hash: u64, db_version: u64) -> Option<Relation> {
-        Self::lock(self.result_shard(plan_hash)).lookup_result(plan_hash, db_version)
+        let mut guard = self.result_shard(plan_hash);
+        let shard = &mut *guard;
+        match shard.results.get(&plan_hash) {
+            Some((v, rel)) if *v == db_version => {
+                shard.stats.result_hits += 1;
+                Some(rel.clone())
+            }
+            Some(_) => {
+                shard.stats.stale_results += 1;
+                shard.stats.result_misses += 1;
+                None
+            }
+            None => {
+                shard.stats.result_misses += 1;
+                None
+            }
+        }
     }
 
-    /// Concurrent [`PlanCache::insert_result`].
+    /// Store a materialized result, replacing any entry for the same plan
+    /// (including stale ones from earlier database versions).
     pub fn insert_result(&self, plan_hash: u64, db_version: u64, rel: Relation) {
-        Self::lock(self.result_shard(plan_hash)).insert_result(plan_hash, db_version, rel)
+        let mut shard = self.result_shard(plan_hash);
+        shard.results.insert(plan_hash, (db_version, rel));
     }
 
-    /// Concurrent [`PlanCache::register_view`] (routed like results, by
-    /// plan hash).
+    /// Register (or replace) the materialized standing query backing a
+    /// result entry, so later mutations can refresh instead of evict.
     pub fn register_view(&self, plan_hash: u64, view: MaintainedView) {
-        Self::lock(self.result_shard(plan_hash)).register_view(plan_hash, view)
+        self.result_shard(plan_hash).views.insert(plan_hash, view);
     }
 
-    /// Concurrent [`PlanCache::view_snapshot`]. The shard lock covers only
-    /// the clone — never the refresh computed against the snapshot.
+    /// A clone of the maintained view registered for a plan, if any.
+    /// Refresh happens *outside* any cache lock — the shard lock covers
+    /// only the clone — and only a fully successful refresh is installed
+    /// back, so a failed or abandoned refresh leaves the cache holding
+    /// exactly the old state.
     pub fn view_snapshot(&self, plan_hash: u64) -> Option<MaintainedView> {
-        Self::lock(self.result_shard(plan_hash)).view_snapshot(plan_hash)
+        self.result_shard(plan_hash).views.get(&plan_hash).cloned()
     }
 
-    /// Concurrent [`PlanCache::install_refreshed`]. Racing refreshers for
-    /// the same plan both install; last writer wins with a complete
-    /// (view, result) pair either way — both are self-consistent states.
+    /// Install a successfully refreshed view and its root result, stamped
+    /// with the view's new base version, bumping
+    /// [`CacheStats::refreshed_results`]. Racing refreshers for the same
+    /// plan both install; last writer wins with a complete (view, result)
+    /// pair either way — both are self-consistent states.
     pub fn install_refreshed(&self, plan_hash: u64, view: MaintainedView, rel: Relation) {
-        Self::lock(self.result_shard(plan_hash)).install_refreshed(plan_hash, view, rel)
+        let mut shard = self.result_shard(plan_hash);
+        shard.results.insert(plan_hash, (view.base_version(), rel));
+        shard.views.insert(plan_hash, view);
+        shard.stats.refreshed_results += 1;
     }
 
     /// Total maintained views across all shards.
     pub fn view_count(&self) -> usize {
-        self.shards.iter().map(|s| Self::lock(s).view_count()).sum()
+        self.shards.iter().map(|s| Self::lock(s).views.len()).sum()
     }
 
-    /// [`PlanCache::purge_stale`] across every shard; returns the total
-    /// number of result entries evicted.
+    /// Drop every result entry not computed against `db_version`, returning
+    /// the number evicted (also accumulated into
+    /// [`CacheStats::evicted_results`]). Plan entries are untouched (they
+    /// are version-independent), and so are maintained views — a view is
+    /// exactly the state that lets a *future* lookup skip recomputation,
+    /// stale or not.
     pub fn purge_stale(&self, db_version: u64) -> usize {
-        self.shards
-            .iter()
-            .map(|s| Self::lock(s).purge_stale(db_version))
-            .sum()
+        let mut evicted = 0;
+        for s in &self.shards {
+            let mut shard = Self::lock(s);
+            let before = shard.results.len();
+            shard.results.retain(|_, (v, _)| *v == db_version);
+            let n = before - shard.results.len();
+            shard.stats.evicted_results += n as u64;
+            evicted += n;
+        }
+        evicted
     }
 
     /// Total cached plans across all shards.
     pub fn plan_count(&self) -> usize {
-        self.shards.iter().map(|s| Self::lock(s).plan_count()).sum()
+        self.shards.iter().map(|s| Self::lock(s).plans.len()).sum()
     }
 
     /// Total cached results across all shards.
     pub fn result_count(&self) -> usize {
         self.shards
             .iter()
-            .map(|s| Self::lock(s).result_count())
+            .map(|s| Self::lock(s).results.len())
             .sum()
     }
 
@@ -422,7 +330,7 @@ impl<P> SharedPlanCache<P> {
     pub fn stats(&self) -> CacheStats {
         let mut total = CacheStats::default();
         for s in &self.shards {
-            let s = Self::lock(s).stats();
+            let s = Self::lock(s).stats;
             total.plan_hits += s.plan_hits;
             total.plan_misses += s.plan_misses;
             total.result_hits += s.result_hits;
@@ -434,10 +342,11 @@ impl<P> SharedPlanCache<P> {
         total
     }
 
-    /// Drop every entry and reset the counters in every shard.
+    /// Drop every entry (including maintained views) and reset the
+    /// counters in every shard.
     pub fn clear(&self) {
         for s in &self.shards {
-            Self::lock(s).clear();
+            *Self::lock(s) = PlanCache::default();
         }
     }
 }
@@ -453,7 +362,7 @@ mod tests {
 
     #[test]
     fn plan_entries_key_on_text_options_and_epoch() {
-        let mut c: PlanCache<&'static str> = PlanCache::new();
+        let c: SharedPlanCache<&'static str> = SharedPlanCache::new();
         assert!(c.lookup_plan("E x: P(x)", 0, 0).is_none());
         c.insert_plan("E x: P(x)", 0, 0, "payload", 42);
         let (p, h) = c.lookup_plan("E x: P(x)", 0, 0).expect("hit");
@@ -473,7 +382,7 @@ mod tests {
 
     #[test]
     fn results_hit_only_on_exact_version() {
-        let mut c: PlanCache<()> = PlanCache::new();
+        let c: SharedPlanCache<()> = SharedPlanCache::new();
         c.insert_result(7, 100, rel([1, 2]));
         assert_eq!(c.lookup_result(7, 100), Some(rel([1, 2])));
         assert_eq!(c.lookup_result(7, 101), None, "stale version must miss");
@@ -485,7 +394,7 @@ mod tests {
 
     #[test]
     fn insert_replaces_stale_entry_for_same_plan() {
-        let mut c: PlanCache<()> = PlanCache::new();
+        let c: SharedPlanCache<()> = SharedPlanCache::new();
         c.insert_result(7, 100, rel([1, 2]));
         c.insert_result(7, 101, rel([3, 4]));
         assert_eq!(c.result_count(), 1);
@@ -495,7 +404,7 @@ mod tests {
 
     #[test]
     fn purge_stale_drops_only_other_versions() {
-        let mut c: PlanCache<()> = PlanCache::new();
+        let c: SharedPlanCache<()> = SharedPlanCache::new();
         c.insert_result(1, 100, rel([1, 2]));
         c.insert_result(2, 101, rel([3, 4]));
         c.insert_result(3, 101, rel([5, 6]));
@@ -591,7 +500,7 @@ mod tests {
         use crate::trace::Tracer;
         let (mut db, out, view) = tiny_view();
         let v0 = db.version();
-        let mut c: PlanCache<()> = PlanCache::new();
+        let c: SharedPlanCache<()> = SharedPlanCache::new();
         c.insert_result(7, v0, out.clone());
         c.register_view(7, view);
         assert_eq!(c.view_count(), 1);
@@ -648,7 +557,7 @@ mod tests {
 
     #[test]
     fn clear_resets_everything() {
-        let mut c: PlanCache<u8> = PlanCache::new();
+        let c: SharedPlanCache<u8> = SharedPlanCache::new();
         c.insert_plan("q", 0, 0, 1, 9);
         c.insert_result(9, 100, rel([1, 2]));
         c.lookup_plan("q", 0, 0);

@@ -34,7 +34,7 @@ fn next_version() -> u64 {
 /// imply equal contents: a clone keeps its original's stamp (it *is* the
 /// same contents) until either side mutates, and two databases that
 /// evolved independently can never collide on a stamp. This is the
-/// invalidation signal for [`crate::cache::PlanCache`]'s result entries.
+/// invalidation signal for [`crate::cache::SharedPlanCache`]'s result entries.
 ///
 /// [`version`]: Database::version
 #[derive(Clone, Debug, Default)]

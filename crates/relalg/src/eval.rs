@@ -156,38 +156,22 @@ impl From<BudgetExceeded> for EvalError {
 /// Evaluate `expr` against `db`. The result's column order is
 /// `expr.cols()`.
 pub fn eval(expr: &RaExpr, db: &Database) -> Result<Relation, EvalError> {
-    let mut stats = EvalStats::default();
-    eval_with_stats(expr, db, &mut stats)
+    let (mut stats, mut tracer) = (EvalStats::default(), Tracer::off());
+    eval_traced(expr, db, &mut stats, Budget::unlimited(), &mut tracer)
 }
 
-/// Evaluate while accumulating [`EvalStats`].
-pub fn eval_with_stats(
-    expr: &RaExpr,
-    db: &Database,
-    stats: &mut EvalStats,
-) -> Result<Relation, EvalError> {
-    eval_governed(expr, db, stats, Budget::unlimited())
-}
-
-/// Evaluate under a resource [`Budget`]: the result is either exactly the
-/// ungoverned answer or an [`EvalError::Budget`] — never a truncated
-/// relation. Checks run at every operator boundary and every
-/// [`crate::govern::CHECK_INTERVAL`] rows inside the kernels.
-pub fn eval_governed(
-    expr: &RaExpr,
-    db: &Database,
-    stats: &mut EvalStats,
-    budget: &Budget,
-) -> Result<Relation, EvalError> {
-    eval_traced(expr, db, stats, budget, &mut Tracer::off())
-}
-
-/// Evaluate under a [`Budget`] while recording an operator span tree into
-/// `tracer` (see [`crate::trace`]). With a disabled tracer this is exactly
-/// [`eval_governed`]; with a collecting one, every operator leaves a span
-/// carrying input/output cardinalities, pre-dedup row counts, and kernel
-/// loop counts — including partial spans when the evaluation errors, so a
-/// budget trip can be attributed to the operator that was running.
+/// Evaluate under a resource [`Budget`] while accumulating [`EvalStats`]:
+/// the result is either exactly the ungoverned answer or an
+/// [`EvalError::Budget`] — never a truncated relation. Checks run at every
+/// operator boundary and every [`crate::govern::CHECK_INTERVAL`] rows
+/// inside the kernels.
+///
+/// A collecting `tracer` (see [`crate::trace`]) receives an operator span
+/// tree: every operator leaves a span carrying input/output
+/// cardinalities, pre-dedup row counts, and kernel loop counts —
+/// including partial spans when the evaluation errors, so a budget trip
+/// can be attributed to the operator that was running. Pass
+/// [`Tracer::off`] to skip it.
 pub fn eval_traced(
     expr: &RaExpr,
     db: &Database,
@@ -1567,7 +1551,14 @@ mod tests {
             RaExpr::scan("Q", vec![Term::var("y")]),
         );
         let mut stats = EvalStats::default();
-        let r = eval_with_stats(&e, &db(), &mut stats).unwrap();
+        let r = eval_traced(
+            &e,
+            &db(),
+            &mut stats,
+            Budget::unlimited(),
+            &mut Tracer::off(),
+        )
+        .unwrap();
         assert_eq!(stats.operators, 3);
         assert_eq!(stats.tuples_produced, (3 + 2 + r.len()) as u64);
         assert!(stats.max_intermediate >= r.len());
@@ -1628,7 +1619,7 @@ mod tests {
             RaExpr::scan("B", vec![Term::var("y"), Term::var("z")]),
         );
         let mut stats = EvalStats::default();
-        let r = eval_with_stats(&e, &d, &mut stats).unwrap();
+        let r = eval_traced(&e, &d, &mut stats, Budget::unlimited(), &mut Tracer::off()).unwrap();
         assert_eq!(stats.operators, 3);
         // B dedups to the (i % 97, i % 13) pairs — 13 partners per key by
         // CRT — so every A row contributes exactly 13 output rows.
@@ -1689,10 +1680,18 @@ mod tests {
         let d = partition_db();
         for e in kernel_family_plans() {
             let seq = Budget::new().with_partitions(1);
-            let want = eval_governed(&e, &d, &mut EvalStats::default(), &seq).unwrap();
+            let want =
+                eval_traced(&e, &d, &mut EvalStats::default(), &seq, &mut Tracer::off()).unwrap();
             for n in [2usize, 3, 7, 1000] {
                 let budget = Budget::new().with_partitions(n);
-                let got = eval_governed(&e, &d, &mut EvalStats::default(), &budget).unwrap();
+                let got = eval_traced(
+                    &e,
+                    &d,
+                    &mut EvalStats::default(),
+                    &budget,
+                    &mut Tracer::off(),
+                )
+                .unwrap();
                 assert_eq!(want, got, "partitions={n} plan={e}");
                 assert_eq!(want.to_string(), got.to_string(), "partitions={n}");
             }
@@ -1749,10 +1748,24 @@ mod tests {
         );
         assert_eq!(d.partition_cache_entries(), 0);
         let budget = Budget::new().with_partitions(4);
-        eval_governed(&e, &d, &mut EvalStats::default(), &budget).unwrap();
+        eval_traced(
+            &e,
+            &d,
+            &mut EvalStats::default(),
+            &budget,
+            &mut Tracer::off(),
+        )
+        .unwrap();
         // Both scan sides are plain scans: two cached layouts.
         assert_eq!(d.partition_cache_entries(), 2);
-        eval_governed(&e, &d, &mut EvalStats::default(), &budget).unwrap();
+        eval_traced(
+            &e,
+            &d,
+            &mut EvalStats::default(),
+            &budget,
+            &mut Tracer::off(),
+        )
+        .unwrap();
         assert_eq!(d.partition_cache_entries(), 2, "second run must re-use");
     }
 
@@ -1764,8 +1777,14 @@ mod tests {
             RaExpr::scan("B", vec![Term::var("y"), Term::var("z")]),
         );
         let tight = Budget::new().with_partitions(4).with_max_tuples(100);
-        let err = eval_governed(&e, &d, &mut EvalStats::default(), &tight)
-            .expect_err("tuple cap must trip inside the partitioned join");
+        let err = eval_traced(
+            &e,
+            &d,
+            &mut EvalStats::default(),
+            &tight,
+            &mut Tracer::off(),
+        )
+        .expect_err("tuple cap must trip inside the partitioned join");
         assert!(matches!(err, EvalError::Budget(_)));
         // The same database (and its partition cache) serves a fresh run.
         let ok = eval(&e, &d).unwrap();
@@ -1861,7 +1880,7 @@ mod tests {
         // the service charge equals the subplan's output size).
         let plain = Budget::new().with_max_tuples(1_000_000);
         let mut pstats = EvalStats::default();
-        eval_governed(&e, &d, &mut pstats, &plain).unwrap();
+        eval_traced(&e, &d, &mut pstats, &plain, &mut Tracer::off()).unwrap();
         assert!(charged <= plain.tuples_used() + stats.memo_hits * stats.max_intermediate as u64);
     }
 }

@@ -60,12 +60,10 @@ pub mod stats;
 pub mod trace;
 
 pub use baseline::eval_baseline;
-pub use cache::{CacheStats, PlanCache, SharedPlanCache, CACHE_SHARDS};
+pub use cache::{CacheStats, SharedPlanCache, CACHE_SHARDS};
 pub use database::Database;
 pub use egraph::{rules, saturate, saturate_governed, RewriteRule, SaturationReport};
-pub use eval::{
-    eval, eval_governed, eval_shared, eval_traced, eval_with_stats, EvalError, EvalStats,
-};
+pub use eval::{eval, eval_shared, eval_traced, EvalError, EvalStats};
 pub use expr::{RaExpr, SelPred};
 pub use govern::{Budget, BudgetExceeded, CancelHandle, FaultInjector, Governor, Resource, Stage};
 pub use ivm::{

@@ -21,7 +21,7 @@
 //! instead of re-hashing whole subtrees.
 //!
 //! [`plan_hash`] complements this with a structural fingerprint used by the
-//! cross-run [`crate::cache::PlanCache`]. The hash is deterministic within
+//! cross-run [`crate::cache::SharedPlanCache`]. The hash is deterministic within
 //! a process but **not** a stable on-disk identity: [`rc_formula::Symbol`]
 //! hashes by interner index, which depends on interning order.
 //!
@@ -177,7 +177,7 @@ pub fn intern(e: &RaExpr) -> (RaExpr, InternStats) {
 }
 
 /// Structural fingerprint of a plan, used as (half of) the
-/// [`crate::cache::PlanCache`] result key and as the key under which the
+/// [`crate::cache::SharedPlanCache`] result key and as the key under which the
 /// statistics feedback store files observed cardinalities per subplan
 /// ([`crate::database::Database::record_observed`] /
 /// [`crate::stats::harvest_actuals`]). Equal expressions hash equal; the

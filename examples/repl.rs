@@ -60,12 +60,12 @@ use rcsafe::relalg::trace::{render_analyze, render_plan};
 use rcsafe::relalg::EvalStats;
 use rcsafe::safety::check_evaluable;
 use rcsafe::safety::pipeline::{
-    compile_and_eval, compile_and_eval_cached, compile_and_eval_traced, CompileOptions, Compiled,
+    compile_and_eval, compile_and_eval_shared, compile_and_eval_traced, CompileOptions, Compiled,
     PipelineError, PlannerMode, QueryOutput,
 };
 use rcsafe::{
-    classify, compile_and_eval_any_cached, parse, Budget, Database, PlanCache, Relation,
-    SafetyClass,
+    classify, compile_and_eval_any_shared, parse, Budget, Database, Relation, SafetyClass,
+    SharedPlanCache,
 };
 use std::io::{self, BufRead, Write};
 use std::sync::Arc;
@@ -380,7 +380,7 @@ fn main() {
     .unwrap();
     let mut limits = Limits::default();
     let mut planner = PlannerMode::default();
-    let mut cache: PlanCache<Compiled> = PlanCache::new();
+    let cache: SharedPlanCache<Compiled> = SharedPlanCache::new();
 
     println!("rcsafe console — relational calculus with safe translation");
     println!("preloaded: Part/1, Supplies/2. Type `help` for commands.\n");
@@ -528,7 +528,7 @@ fn main() {
                 planner,
                 ..CompileOptions::default()
             };
-            match compile_and_eval_any_cached(text, &db, opts, &mut cache) {
+            match compile_and_eval_any_shared(text, &db, opts, &cache) {
                 Ok(out) => {
                     match (out.plan_cached, out.result_cached, out.result_refreshed) {
                         (_, true, true) => {
@@ -620,7 +620,7 @@ fn main() {
                 None,
             )
         } else {
-            match compile_and_eval_cached(text, &db, opts, &mut cache) {
+            match compile_and_eval_shared(text, &db, opts, &cache) {
                 Ok(o) => {
                     let note = match (o.plan_cached, o.result_cached, o.result_refreshed) {
                         (_, true, true) => {

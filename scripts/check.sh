@@ -105,4 +105,21 @@ fi
 echo "==> trace export smoke test (the JSON artifact CI uploads)"
 cargo run -q --release -p rc-bench --bin trace_export > /dev/null
 
+echo "==> tier-1 on a fresh clone (no generated or untracked files)"
+# A test must not depend on a file that only a generator or an earlier
+# step leaves behind (TRACE_corpus.json once did). Clone the committed
+# tree — uncommitted edits are not part of it — and run tier-1 there.
+# The clone builds into its own directory under target/ (cached with
+# it): cargo names workspace artifacts by workspace-relative path, so a
+# clone building into target/ itself would overwrite this checkout's
+# test binaries with ones whose CARGO_MANIFEST_DIR is the deleted clone.
+fresh=$(mktemp -d)
+trap 'rm -rf "$fresh"' EXIT
+git clone -q . "$fresh/repo"
+(
+  cd "$fresh/repo"
+  export CARGO_TARGET_DIR="$OLDPWD/target/fresh-clone"
+  cargo build --release && cargo test -q
+)
+
 echo "All checks passed."

@@ -33,17 +33,15 @@ pub use rc_safety as safety;
 
 pub use rc_formula::{parse, Formula, Schema, Symbol, Term, Value, Var};
 pub use rc_relalg::{
-    Budget, CacheStats, CancelHandle, Database, FaultInjector, PipelineTrace, PlanCache, RaExpr,
-    Relation, SharedPlanCache, TraceSink, Tracer,
+    Budget, CacheStats, CancelHandle, Database, FaultInjector, PipelineTrace, RaExpr, Relation,
+    SharedPlanCache, TraceSink, Tracer,
 };
 pub use rc_safety::anyrc::{
-    compile_and_eval_any, compile_and_eval_any_cached, compile_and_eval_any_shared,
-    compile_and_eval_any_traced, AnyAnswer, CachedAnyOutput,
+    compile_and_eval_any_shared, compile_and_eval_any_traced, AnyAnswer, CachedAnyOutput,
 };
 pub use rc_safety::pipeline::{
-    classify, compile, compile_and_eval, compile_and_eval_cached, compile_and_eval_shared,
-    compile_and_eval_traced, query, CachedQueryOutput, Compiled, PipelineError, PlannerMode,
-    QueryOutput, SafetyClass,
+    classify, compile, compile_and_eval, compile_and_eval_shared, compile_and_eval_traced, query,
+    CachedQueryOutput, Compiled, PipelineError, PlannerMode, QueryOutput, SafetyClass,
 };
 pub use rc_safety::{
     equality_reduce, genify, is_allowed, is_evaluable, is_ranf, is_wide_sense_evaluable, ranf,

@@ -40,14 +40,18 @@ fn spawn_denial_degrades_to_identical_sequential_results() {
 
     let mut par_stats = EvalStats::default();
     let pinned = Budget::new().with_partitions(1);
-    let parallel = c.run_governed(&db, &mut par_stats, &pinned).unwrap();
+    let parallel = c
+        .run_traced(&db, &mut par_stats, &pinned, &mut Tracer::off())
+        .unwrap();
     assert!(!parallel.is_empty());
 
     let fault = FaultInjector::new();
     fault.deny_thread_spawn(true);
     let budget = Budget::new().with_fault_injector(fault);
     let mut seq_stats = EvalStats::default();
-    let sequential = c.run_governed(&db, &mut seq_stats, &budget).unwrap();
+    let sequential = c
+        .run_traced(&db, &mut seq_stats, &budget, &mut Tracer::off())
+        .unwrap();
 
     assert_eq!(
         parallel, sequential,
@@ -70,8 +74,12 @@ fn stats_are_reproducible_across_repeated_parallel_runs() {
     let (c, db) = big_join();
     let mut first = EvalStats::default();
     let mut second = EvalStats::default();
-    let a = c.run_with_stats(&db, &mut first).unwrap();
-    let b = c.run_with_stats(&db, &mut second).unwrap();
+    let a = c
+        .run_traced(&db, &mut first, Budget::unlimited(), &mut Tracer::off())
+        .unwrap();
+    let b = c
+        .run_traced(&db, &mut second, Budget::unlimited(), &mut Tracer::off())
+        .unwrap();
     assert_eq!(a, b);
     assert_eq!(first, second, "repeated runs must count identically");
     assert!(first.budget_checks > 0, "governance checks are surfaced");
@@ -89,7 +97,7 @@ fn mid_kernel_cancellation_unwinds_and_engine_stays_usable() {
     let budget = Budget::new().with_fault_injector(fault);
     let mut stats = EvalStats::default();
     let err = c
-        .run_governed(&db, &mut stats, &budget)
+        .run_traced(&db, &mut stats, &budget, &mut Tracer::off())
         .expect_err("forced mid-evaluation cancellation must surface");
     match err {
         rcsafe::relalg::EvalError::Budget(b) => {
@@ -116,7 +124,7 @@ fn cancellation_under_denied_spawns_also_unwinds_cleanly() {
     let budget = Budget::new().with_fault_injector(fault);
     let mut stats = EvalStats::default();
     let err = c
-        .run_governed(&db, &mut stats, &budget)
+        .run_traced(&db, &mut stats, &budget, &mut Tracer::off())
         .expect_err("cancellation must fire on the sequential path too");
     match err {
         rcsafe::relalg::EvalError::Budget(b) => {
@@ -238,7 +246,9 @@ fn parallel_and_sequential_stats_agree_for_all_operator_shapes() {
         fault.deny_thread_spawn(true);
         let budget = Budget::new().with_fault_injector(fault);
         let mut seq_stats = EvalStats::default();
-        let sequential = c.run_governed(&db, &mut seq_stats, &budget).unwrap();
+        let sequential = c
+            .run_traced(&db, &mut seq_stats, &budget, &mut Tracer::off())
+            .unwrap();
 
         assert_eq!(parallel, sequential, "{text}: answers diverged");
         assert_eq!(
@@ -265,7 +275,7 @@ fn mid_join_cancellation_under_forced_partitions_unwinds_cleanly() {
         let budget = Budget::new().with_partitions(4).with_fault_injector(fault);
         let mut stats = EvalStats::default();
         let err = c
-            .run_governed(&db, &mut stats, &budget)
+            .run_traced(&db, &mut stats, &budget, &mut Tracer::off())
             .expect_err("cancellation must fire inside the partitioned evaluation");
         match err {
             rcsafe::relalg::EvalError::Budget(b) => {
@@ -276,10 +286,11 @@ fn mid_join_cancellation_under_forced_partitions_unwinds_cleanly() {
         }
 
         let partitioned_again = c
-            .run_governed(
+            .run_traced(
                 &db,
                 &mut EvalStats::default(),
                 &Budget::new().with_partitions(4),
+                &mut Tracer::off(),
             )
             .expect("partitioned re-run after a cancelled partitioned run");
         assert_eq!(partitioned_again, reference);
@@ -363,8 +374,8 @@ fn cancelled_pipeline_trace_attributes_the_tripped_stage() {
 // ------------------------------------------ incremental maintenance --
 
 use rcsafe::relalg::{materialize, plan_hash, refresh};
-use rcsafe::safety::pipeline::{compile_and_eval, compile_and_eval_cached};
-use rcsafe::PlanCache;
+use rcsafe::safety::pipeline::{compile_and_eval, compile_and_eval_shared};
+use rcsafe::SharedPlanCache;
 
 /// Cancellation landing inside a delta refresh must leave the cached
 /// entry *atomic*: wholly at the old version or wholly at the new one,
@@ -376,8 +387,8 @@ use rcsafe::PlanCache;
 fn cancellation_mid_refresh_never_tears_the_cached_entry() {
     let mut db = Database::from_facts("P(1, 2)\nP(2, 3)\nP(3, 1)\nQ(1)\nQ(2)").unwrap();
     let text = "P(x, y) & Q(y)";
-    let mut cache: PlanCache<Compiled> = PlanCache::new();
-    let cold = compile_and_eval_cached(text, &db, CompileOptions::default(), &mut cache).unwrap();
+    let cache: SharedPlanCache<Compiled> = SharedPlanCache::new();
+    let cold = compile_and_eval_shared(text, &db, CompileOptions::default(), &cache).unwrap();
     let hash = plan_hash(&cold.compiled.expr);
     let mut old_version = db.version();
     let mut old_answer = cold.relation.clone();
@@ -396,7 +407,7 @@ fn cancellation_mid_refresh_never_tears_the_cached_entry() {
             budget: Budget::new().with_fault_injector(fault),
             ..CompileOptions::default()
         };
-        match compile_and_eval_cached(text, &db, opts, &mut cache) {
+        match compile_and_eval_shared(text, &db, opts, &cache) {
             Err(rcsafe::PipelineError::Budget(b)) => {
                 assert_eq!(b.resource, Resource::Cancelled);
             }
@@ -427,7 +438,7 @@ fn cancellation_mid_refresh_never_tears_the_cached_entry() {
         }
 
         // A clean serve recovers, whatever the trip left behind.
-        let ok = compile_and_eval_cached(text, &db, CompileOptions::default(), &mut cache).unwrap();
+        let ok = compile_and_eval_shared(text, &db, CompileOptions::default(), &cache).unwrap();
         assert_eq!(ok.relation, full);
         old_version = db.version();
         old_answer = full;
@@ -518,20 +529,20 @@ fn spawn_denial_during_partitioned_refresh_is_byte_identical() {
         budget: Budget::new().with_partitions(4),
         ..CompileOptions::default()
     };
-    let mut cache_a: PlanCache<Compiled> = PlanCache::new();
-    let mut cache_b: PlanCache<Compiled> = PlanCache::new();
-    compile_and_eval_cached(text, &db2, opts_par(), &mut cache_a).unwrap();
-    compile_and_eval_cached(text, &db2, opts_par(), &mut cache_b).unwrap();
+    let cache_a: SharedPlanCache<Compiled> = SharedPlanCache::new();
+    let cache_b: SharedPlanCache<Compiled> = SharedPlanCache::new();
+    compile_and_eval_shared(text, &db2, opts_par(), &cache_a).unwrap();
+    compile_and_eval_shared(text, &db2, opts_par(), &cache_b).unwrap();
     db2.apply_delta(&lines.join("\n")).unwrap();
 
-    let allowed = compile_and_eval_cached(text, &db2, opts_par(), &mut cache_a).unwrap();
+    let allowed = compile_and_eval_shared(text, &db2, opts_par(), &cache_a).unwrap();
     let fault = FaultInjector::new();
     fault.deny_thread_spawn(true);
     let opts_denied = CompileOptions {
         budget: Budget::new().with_partitions(4).with_fault_injector(fault),
         ..CompileOptions::default()
     };
-    let denied_serve = compile_and_eval_cached(text, &db2, opts_denied, &mut cache_b).unwrap();
+    let denied_serve = compile_and_eval_shared(text, &db2, opts_denied, &cache_b).unwrap();
     assert!(
         allowed.result_refreshed && denied_serve.result_refreshed,
         "both serves must take the refresh path (allowed: {}, denied: {})",

@@ -1,12 +1,12 @@
 //! Differential tests for the safe-pair evaluation of *arbitrary*
-//! formulas (`compile_and_eval_any`): on finite databases the finite part
-//! must equal both active-domain oracles — brute-force satisfaction and
-//! the Dom-relativized algebra baseline — for every paper-corpus entry,
-//! recognized-safe or rejected, and for random formulas; the infiniteness
-//! flags must be sound (never set for domain-independent entries, always
-//! set for the paper's introduction counterexamples on nonempty
-//! databases); and the cached / shared / partitioned / incremental
-//! serving paths must all agree with the one-shot evaluation.
+//! formulas (`compile_and_eval_any_shared`): on finite databases the
+//! finite part must equal both active-domain oracles — brute-force
+//! satisfaction and the Dom-relativized algebra baseline — for every
+//! paper-corpus entry, recognized-safe or rejected, and for random
+//! formulas; the infiniteness flags must be sound (never set for
+//! domain-independent entries, always set for the paper's introduction
+//! counterexamples on nonempty databases); and the cached / partitioned /
+//! incremental serving paths must all agree with the one-shot evaluation.
 
 mod common;
 
@@ -19,9 +19,14 @@ use rcsafe::safety::corpus::{corpus, formula_of, PaperFormula};
 use rcsafe::safety::dom_baseline::{eval_brute_force, eval_dom};
 use rcsafe::safety::pipeline::{CompileOptions, Compiled, SafetyClass};
 use rcsafe::{
-    classify, compile_and_eval_any, compile_and_eval_any_cached, compile_and_eval_any_shared,
-    parse, Budget, Database, PipelineError, PlanCache, Schema, SharedPlanCache, Value,
+    classify, compile_and_eval_any_shared, parse, AnyAnswer, Budget, Database, PipelineError,
+    Schema, SharedPlanCache, Value,
 };
+
+/// One-shot safe-pair evaluation through a fresh cache.
+fn eval_any(text: &str, db: &Database, opts: CompileOptions) -> Result<AnyAnswer, PipelineError> {
+    compile_and_eval_any_shared(text, db, opts, &SharedPlanCache::new()).map(|out| out.answer)
+}
 
 /// A reproducible database over an entry's inferred schema (seed 0 is the
 /// empty database).
@@ -55,7 +60,7 @@ fn corpus_matches_both_oracles_and_di_entries_stay_finite() {
         let f = formula_of(&entry);
         for seed in [0u64, 3, 9] {
             let db = db_for(&entry, seed);
-            let ans = compile_and_eval_any(entry.text, &db, CompileOptions::default())
+            let ans = eval_any(entry.text, &db, CompileOptions::default())
                 .unwrap_or_else(|e| panic!("{} (seed {seed}): {e}", entry.id));
             let brute = eval_brute_force(&f, &db);
             assert_eq!(
@@ -94,21 +99,20 @@ fn corpus_matches_both_oracles_and_di_entries_stay_finite() {
 fn known_infinite_entries_flag_the_right_columns() {
     // intro-F: ¬P(x) holds for every x outside the database.
     let db = Database::from_facts("P(1)").unwrap();
-    let ans = compile_and_eval_any("!P(x)", &db, CompileOptions::default()).unwrap();
+    let ans = eval_any("!P(x)", &db, CompileOptions::default()).unwrap();
     assert!(ans.maybe_infinite, "!P(x) must flag infiniteness");
     assert_eq!(ans.per_variable, vec![true]);
 
     // intro-G: with both sides nonempty, each column is unconstrained
     // whenever the other disjunct fires.
     let db = Database::from_facts("P(1)\nQ(2)").unwrap();
-    let ans = compile_and_eval_any("P(x) | Q(y)", &db, CompileOptions::default()).unwrap();
+    let ans = eval_any("P(x) | Q(y)", &db, CompileOptions::default()).unwrap();
     assert!(ans.maybe_infinite);
     assert_eq!(ans.per_variable, vec![true, true]);
 
     // sec21-uncurable: ∃y (P(x) ∨ Q(y)) — x is arbitrary once Q is
     // nonempty.
-    let ans =
-        compile_and_eval_any("exists y. (P(x) | Q(y))", &db, CompileOptions::default()).unwrap();
+    let ans = eval_any("exists y. (P(x) | Q(y))", &db, CompileOptions::default()).unwrap();
     assert!(ans.maybe_infinite);
     assert_eq!(ans.per_variable, vec![true]);
 
@@ -117,7 +121,7 @@ fn known_infinite_entries_flag_the_right_columns() {
     empty.declare(rcsafe::Symbol::intern("P"), 1);
     empty.declare(rcsafe::Symbol::intern("Q"), 1);
     for text in ["P(x) | Q(y)", "exists y. (P(x) | Q(y))"] {
-        let ans = compile_and_eval_any(text, &empty, CompileOptions::default()).unwrap();
+        let ans = eval_any(text, &empty, CompileOptions::default()).unwrap();
         assert!(
             ans.finite.is_empty(),
             "{text}: empty database, empty answer"
@@ -147,7 +151,7 @@ fn rejected_domain_independent_entries_never_star() {
         assert!(entry.domain_independent, "{}", entry.id);
         for seed in 0..6u64 {
             let db = db_for(&entry, seed);
-            let ans = compile_and_eval_any(entry.text, &db, CompileOptions::default())
+            let ans = eval_any(entry.text, &db, CompileOptions::default())
                 .unwrap_or_else(|e| panic!("{} (seed {seed}): {e}", entry.id));
             assert!(ans.safe_pair, "{} (seed {seed})", entry.id);
             assert!(
@@ -168,10 +172,36 @@ fn budget_trips_surface_as_errors() {
         budget: Budget::new().with_max_tuples(1),
         ..CompileOptions::default()
     };
-    match compile_and_eval_any("P(x) | Q(y)", &db, opts) {
+    match eval_any("P(x) | Q(y)", &db, opts) {
         Err(PipelineError::Budget(_)) => {}
         other => panic!("expected a budget trip, got {other:?}"),
     }
+}
+
+/// With equality reduction switched off, a wide-sense evaluable formula
+/// is outside every class the pipeline compiles, so it must be served
+/// through the safe pair rather than rejected — with the oracle's answer
+/// and, being domain independent, no stars.
+#[test]
+fn wide_sense_formula_without_equality_reduction_takes_the_safe_pair() {
+    let text = "Q(y, y) & (x = y | P(x))";
+    let db = Database::from_facts("Q(1, 1)\nQ(2, 2)\nP(7)").unwrap();
+    let no_reduction = CompileOptions {
+        equality_reduction: false,
+        ..CompileOptions::default()
+    };
+    let off = eval_any(text, &db, no_reduction).unwrap_or_else(|e| panic!("{text}: {e}"));
+    assert_eq!(off.class, SafetyClass::WideSenseEvaluable);
+    assert!(
+        off.safe_pair,
+        "equality reduction off: the safe pair serves"
+    );
+    assert_eq!(off.finite, eval_brute_force(&parse(text).unwrap(), &db));
+    assert!(!off.maybe_infinite && off.per_variable == vec![false, false]);
+    // Default options keep the fast path, with the same answer.
+    let on = eval_any(text, &db, CompileOptions::default()).unwrap();
+    assert!(!on.safe_pair);
+    assert_eq!(on.finite, off.finite);
 }
 
 /// Forcing partitioned kernels does not change safe-pair answers.
@@ -182,37 +212,35 @@ fn forced_partitions_agree_with_sequential() {
         .filter(|e| !e.evaluable && !e.wide_sense)
     {
         let db = db_for(&entry, 5);
-        let plain = compile_and_eval_any(entry.text, &db, CompileOptions::default())
+        let plain = eval_any(entry.text, &db, CompileOptions::default())
             .unwrap_or_else(|e| panic!("{}: {e}", entry.id));
         let opts = CompileOptions {
             budget: Budget::new().with_partitions(3),
             ..CompileOptions::default()
         };
-        let partitioned = compile_and_eval_any(entry.text, &db, opts)
+        let partitioned = eval_any(entry.text, &db, opts)
             .unwrap_or_else(|e| panic!("{} (partitioned): {e}", entry.id));
         assert_eq!(plain.finite, partitioned.finite, "{}", entry.id);
         assert_eq!(plain.per_variable, partitioned.per_variable, "{}", entry.id);
     }
 }
 
-/// The three serving paths — one-shot, exclusive cache, shared cache —
+/// One-shot serving, a reused cache (cold then warm), and a second cache
 /// return identical answers, and warm rounds really serve from cache.
 #[test]
 fn cached_and_shared_serving_agree_with_one_shot() {
     for entry in corpus() {
         let db = db_for(&entry, 3);
-        let one_shot = match compile_and_eval_any(entry.text, &db, CompileOptions::default()) {
+        let one_shot = match eval_any(entry.text, &db, CompileOptions::default()) {
             Ok(a) => a,
             Err(_) => continue, // nothing to compare against
         };
-        let mut cache: PlanCache<Compiled> = PlanCache::new();
-        let cold =
-            compile_and_eval_any_cached(entry.text, &db, CompileOptions::default(), &mut cache)
-                .unwrap_or_else(|e| panic!("{} (cold): {e}", entry.id));
+        let cache: SharedPlanCache<Compiled> = SharedPlanCache::new();
+        let cold = compile_and_eval_any_shared(entry.text, &db, CompileOptions::default(), &cache)
+            .unwrap_or_else(|e| panic!("{} (cold): {e}", entry.id));
         assert!(!cold.result_cached, "{}: first round is cold", entry.id);
-        let warm =
-            compile_and_eval_any_cached(entry.text, &db, CompileOptions::default(), &mut cache)
-                .unwrap_or_else(|e| panic!("{} (warm): {e}", entry.id));
+        let warm = compile_and_eval_any_shared(entry.text, &db, CompileOptions::default(), &cache)
+            .unwrap_or_else(|e| panic!("{} (warm): {e}", entry.id));
         assert!(
             warm.plan_cached && warm.result_cached,
             "{}: second round must serve from cache",
@@ -249,15 +277,14 @@ fn cached_and_shared_serving_agree_with_one_shot() {
 fn incremental_refresh_matches_fresh_evaluation() {
     for text in ["!P(x)", "P(x) | Q(y)", "exists y. (P(x) | Q(y))"] {
         let mut db = Database::from_facts("P(1)\nP(2)\nQ(3)").unwrap();
-        let mut cache: PlanCache<Compiled> = PlanCache::new();
-        let _ = compile_and_eval_any_cached(text, &db, CompileOptions::default(), &mut cache)
+        let cache: SharedPlanCache<Compiled> = SharedPlanCache::new();
+        let _ = compile_and_eval_any_shared(text, &db, CompileOptions::default(), &cache)
             .unwrap_or_else(|e| panic!("{text} (cold): {e}"));
         for delta in ["P(7)", "Q(8)\nP(9)"] {
             db.apply_delta(delta).unwrap();
-            let served =
-                compile_and_eval_any_cached(text, &db, CompileOptions::default(), &mut cache)
-                    .unwrap_or_else(|e| panic!("{text} (after {delta}): {e}"));
-            let fresh = compile_and_eval_any(text, &db, CompileOptions::default()).unwrap();
+            let served = compile_and_eval_any_shared(text, &db, CompileOptions::default(), &cache)
+                .unwrap_or_else(|e| panic!("{text} (after {delta}): {e}"));
+            let fresh = eval_any(text, &db, CompileOptions::default()).unwrap();
             assert_eq!(
                 served.answer.finite, fresh.finite,
                 "{text} after inserting {delta}: stale finite part"
@@ -326,7 +353,7 @@ fn constructed_di_formulas_never_star() {
                 5,
                 &mut StdRng::seed_from_u64(seed * 17 + trial),
             );
-            let ans = compile_and_eval_any(&text, &db, CompileOptions::default())
+            let ans = eval_any(&text, &db, CompileOptions::default())
                 .unwrap_or_else(|e| panic!("{f}: {e}"));
             assert!(ans.safe_pair, "{f}");
             assert!(
@@ -377,7 +404,7 @@ proptest! {
                 5,
                 &mut StdRng::seed_from_u64(seed * 31 + trial),
             );
-            let ans = match compile_and_eval_any(&text, &db, CompileOptions::default()) {
+            let ans = match eval_any(&text, &db, CompileOptions::default()) {
                 Ok(a) => a,
                 Err(e) => return Err(TestCaseError::fail(format!("{f}: {e}"))),
             };

@@ -15,7 +15,7 @@ use rcsafe::safety::genify::{genify_governed, GenifyError};
 use rcsafe::safety::pipeline::{compile, compile_and_eval, CompileOptions, PipelineError};
 use rcsafe::safety::ranf::{ranf, ranf_governed, RanfError};
 use rcsafe::safety::translate::{translate_governed, TranslateError};
-use rcsafe::{parse, Budget, Database, FaultInjector, Formula, Schema, Value, Var};
+use rcsafe::{parse, Budget, Database, FaultInjector, Formula, Schema, Tracer, Value, Var};
 use std::time::{Duration, Instant};
 
 fn allowed_sample(seed: u64) -> Formula {
@@ -55,7 +55,7 @@ proptest! {
         let full = c.run(&db).expect("ungoverned evaluation succeeds");
         let budget = Budget::new().with_max_tuples(cap);
         let mut stats = EvalStats::default();
-        match c.run_governed(&db, &mut stats, &budget) {
+        match c.run_traced(&db, &mut stats, &budget, &mut Tracer::off()) {
             Ok(rel) => prop_assert_eq!(rel, full, "governed result differs: {}", &f),
             Err(e) => {
                 let b = match e {
@@ -120,7 +120,7 @@ proptest! {
         let started = Instant::now();
         let mut stats = EvalStats::default();
         let err = c
-            .run_governed(&db, &mut stats, &budget)
+            .run_traced(&db, &mut stats, &budget, &mut Tracer::off())
             .expect_err("pre-cancelled run must not produce a relation");
         prop_assert!(started.elapsed() < Duration::from_secs(5));
         match err {
@@ -207,7 +207,7 @@ fn eval_budget_trips_with_stage_attribution() {
     let budget = Budget::new().with_max_tuples(1);
     let mut stats = EvalStats::default();
     let err = c
-        .run_governed(&db, &mut stats, &budget)
+        .run_traced(&db, &mut stats, &budget, &mut Tracer::off())
         .expect_err("a single-tuple budget must trip");
     match err {
         rcsafe::relalg::EvalError::Budget(b) => {
@@ -252,7 +252,7 @@ fn mid_eval_cancellation_leaves_engine_usable() {
     let budget = Budget::new().with_fault_injector(fault);
     let mut stats = EvalStats::default();
     let err = c
-        .run_governed(&db, &mut stats, &budget)
+        .run_traced(&db, &mut stats, &budget, &mut Tracer::off())
         .expect_err("forced cancellation must trip");
     match err {
         rcsafe::relalg::EvalError::Budget(b) => assert_eq!(b.resource, Resource::Cancelled),

@@ -18,12 +18,12 @@ use rand::SeedableRng;
 use rcsafe::formula::generate::{random_allowed_formula, GenConfig};
 use rcsafe::formula::vars::rectified;
 use rcsafe::relalg::{
-    eval, eval_governed, optimize, plan_hash, rules, saturate, saturate_governed, simplify,
-    Estimator, EvalStats, PlanCache, RaExpr, SelPred,
+    eval, eval_traced, optimize, plan_hash, rules, saturate, saturate_governed, simplify,
+    Estimator, EvalStats, RaExpr, SelPred, SharedPlanCache, Tracer,
 };
 use rcsafe::safety::corpus::{corpus, formula_of};
 use rcsafe::safety::pipeline::{
-    compile_and_eval_cached, compile_for, compile_with, CompileOptions, Compiled, PlannerMode,
+    compile_and_eval_shared, compile_for, compile_with, CompileOptions, Compiled, PlannerMode,
 };
 use rcsafe::{Budget, Database, Schema, Term, Value, Var};
 
@@ -125,7 +125,7 @@ fn corpus_saturated_plans_survive_forced_partitioning() {
         for parts in 1..=4usize {
             let budget = Budget::new().with_partitions(parts);
             let mut stats = EvalStats::default();
-            let out = eval_governed(&s.expr, &db, &mut stats, &budget)
+            let out = eval_traced(&s.expr, &db, &mut stats, &budget, &mut Tracer::off())
                 .expect("saturated plan evaluates under forced partitioning");
             assert_eq!(
                 out, baseline,
@@ -241,7 +241,7 @@ fn check_generated_formula(seed: u64) {
     let baseline = eval(&h.expr, &db).expect("heuristic plan evaluates");
     let budget = Budget::new().with_partitions(1 + (seed as usize % 4));
     let mut stats = EvalStats::default();
-    let partitioned = eval_governed(&s.expr, &db, &mut stats, &budget)
+    let partitioned = eval_traced(&s.expr, &db, &mut stats, &budget, &mut Tracer::off())
         .expect("saturated plan evaluates partitioned");
     assert_eq!(
         partitioned, baseline,
@@ -552,22 +552,21 @@ fn every_registered_rule_has_a_soundness_shape() {
 #[test]
 fn planner_mode_fragments_plan_cache_but_not_answers() {
     let db = stats_db(42);
-    let mut cache: PlanCache<Compiled> = PlanCache::new();
+    let cache: SharedPlanCache<Compiled> = SharedPlanCache::new();
     let text = "A(x, y) & B(x, y)";
 
-    let cost =
-        compile_and_eval_cached(text, &db, CompileOptions::default(), &mut cache).expect("cost");
+    let cost = compile_and_eval_shared(text, &db, CompileOptions::default(), &cache).expect("cost");
     assert!(!cost.plan_cached);
     let sat_opts = || CompileOptions {
         planner: PlannerMode::Saturate,
         ..CompileOptions::default()
     };
-    let saturated = compile_and_eval_cached(text, &db, sat_opts(), &mut cache).expect("saturated");
+    let saturated = compile_and_eval_shared(text, &db, sat_opts(), &cache).expect("saturated");
     assert!(
         !saturated.plan_cached,
         "a cost-mode plan must not serve a saturate-mode request"
     );
     assert_eq!(cost.relation, saturated.relation);
-    let warm = compile_and_eval_cached(text, &db, sat_opts(), &mut cache).expect("warm");
+    let warm = compile_and_eval_shared(text, &db, sat_opts(), &cache).expect("warm");
     assert!(warm.plan_cached, "same mode must reuse the cached plan");
 }

@@ -12,9 +12,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use rcsafe::formula::generate::{random_allowed_formula, GenConfig};
 use rcsafe::formula::vars::rectified;
-use rcsafe::relalg::{
-    eval, eval_baseline, eval_governed, eval_with_stats, EvalStats, RelationBuilder,
-};
+use rcsafe::relalg::{eval, eval_baseline, eval_traced, EvalStats, RelationBuilder, Tracer};
 use rcsafe::safety::pipeline::{compile_with, CompileOptions};
 use rcsafe::{Budget, Database, RaExpr, Term, Value, Var};
 use std::sync::Arc;
@@ -157,7 +155,7 @@ proptest! {
             let want = eval(&e, &db).expect("auto-policy eval");
             for &n in &counts {
                 let budget = Budget::new().with_partitions(n);
-                let got = eval_governed(&e, &db, &mut EvalStats::default(), &budget)
+                let got = eval_traced(&e, &db, &mut EvalStats::default(), &budget, &mut Tracer::off())
                     .expect("partitioned eval");
                 prop_assert_eq!(&want, &got, "partitions={} on {}", n, &e);
                 prop_assert_eq!(
@@ -187,11 +185,11 @@ proptest! {
         let domain: Vec<Value> = (0..6).map(Value::int).collect();
         let db = Database::random(&schema, &domain, 10, &mut StdRng::seed_from_u64(seed ^ 0x5EED));
         let seq = Budget::new().with_partitions(1);
-        let want = eval_governed(&c.expr, &db, &mut EvalStats::default(), &seq)
+        let want = eval_traced(&c.expr, &db, &mut EvalStats::default(), &seq, &mut Tracer::off())
             .expect("sequential eval");
         for n in [rng.gen_range(2..=8), 64usize] {
             let budget = Budget::new().with_partitions(n);
-            let got = eval_governed(&c.expr, &db, &mut EvalStats::default(), &budget)
+            let got = eval_traced(&c.expr, &db, &mut EvalStats::default(), &budget, &mut Tracer::off())
                 .expect("partitioned eval");
             prop_assert_eq!(&want, &got, "partitions={} on {}", n, &f);
             prop_assert_eq!(
@@ -210,8 +208,8 @@ proptest! {
         for e in synthetic_exprs() {
             let mut s1 = EvalStats::default();
             let mut s2 = EvalStats::default();
-            let r1 = eval_with_stats(&e, &db, &mut s1).expect("run 1");
-            let r2 = eval_with_stats(&e, &db, &mut s2).expect("run 2");
+            let r1 = eval_traced(&e, &db, &mut s1, Budget::unlimited(), &mut Tracer::off()).expect("run 1");
+            let r2 = eval_traced(&e, &db, &mut s2, Budget::unlimited(), &mut Tracer::off()).expect("run 2");
             prop_assert_eq!(&r1, &r2);
             prop_assert_eq!(r1.to_string(), r2.to_string(), "order differs on {}", &e);
             prop_assert_eq!(s1, s2, "stats differ on {}", &e);

@@ -18,9 +18,11 @@ use rcsafe::formula::vars::rectified;
 use rcsafe::relalg::{eval_traced, materialize, refresh, EvalStats};
 use rcsafe::safety::corpus::{corpus, formula_of};
 use rcsafe::safety::pipeline::{
-    compile_and_eval, compile_and_eval_cached, CompileOptions, Compiled, PipelineError,
+    compile_and_eval, compile_and_eval_shared, CompileOptions, Compiled, PipelineError,
 };
-use rcsafe::{Budget, Database, Formula, PlanCache, RaExpr, Schema, Term, Tracer, Value, Var};
+use rcsafe::{
+    Budget, Database, Formula, RaExpr, Schema, SharedPlanCache, Term, Tracer, Value, Var,
+};
 
 /// A reproducible non-empty database over a formula's inferred schema.
 fn db_for(f: &Formula, seed: u64) -> (Database, Schema, Vec<Value>) {
@@ -79,10 +81,10 @@ fn random_delta(db: &Database, schema: &Schema, domain: &[Value], rng: &mut StdR
 fn serve_and_check(
     text: &str,
     db: &Database,
-    cache: &mut PlanCache<Compiled>,
+    cache: &SharedPlanCache<Compiled>,
     ctx: &str,
 ) -> Option<bool> {
-    let cached = match compile_and_eval_cached(text, db, CompileOptions::default(), cache) {
+    let cached = match compile_and_eval_shared(text, db, CompileOptions::default(), cache) {
         Ok(out) => out,
         Err(_) => return None, // rejected formulas never enter the cache path
     };
@@ -112,8 +114,8 @@ fn corpus_delta_refresh_matches_full_reevaluation() {
     for entry in corpus() {
         let f = formula_of(&entry);
         let (mut db, schema, domain) = db_for(&f, 11);
-        let mut cache: PlanCache<Compiled> = PlanCache::new();
-        if serve_and_check(entry.text, &db, &mut cache, entry.id).is_none() {
+        let cache: SharedPlanCache<Compiled> = SharedPlanCache::new();
+        if serve_and_check(entry.text, &db, &cache, entry.id).is_none() {
             continue; // rejected by the safety pipeline — nothing cached
         }
         let mut rng = StdRng::seed_from_u64(0x1704 ^ entry.text.len() as u64);
@@ -122,7 +124,7 @@ fn corpus_delta_refresh_matches_full_reevaluation() {
             db.apply_delta(&delta)
                 .expect("generated deltas are well-formed");
             let ctx = format!("{} round {round}", entry.id);
-            if let Some(was_refresh) = serve_and_check(entry.text, &db, &mut cache, &ctx) {
+            if let Some(was_refresh) = serve_and_check(entry.text, &db, &cache, &ctx) {
                 served += 1;
                 refreshed += was_refresh as u64;
             }
@@ -157,8 +159,8 @@ fn generated_formula_and_delta_streams_agree() {
         ));
         let text = f.to_string();
         let (mut db, schema, domain) = db_for(&f, seed ^ 0x5eed);
-        let mut cache: PlanCache<Compiled> = PlanCache::new();
-        if serve_and_check(&text, &db, &mut cache, "generated cold").is_none() {
+        let cache: SharedPlanCache<Compiled> = SharedPlanCache::new();
+        if serve_and_check(&text, &db, &cache, "generated cold").is_none() {
             continue;
         }
         for round in 0..4 {
@@ -166,7 +168,7 @@ fn generated_formula_and_delta_streams_agree() {
             db.apply_delta(&delta)
                 .expect("generated deltas are well-formed");
             let ctx = format!("seed {seed} round {round}");
-            if let Some(was_refresh) = serve_and_check(&text, &db, &mut cache, &ctx) {
+            if let Some(was_refresh) = serve_and_check(&text, &db, &cache, &ctx) {
                 refreshed += was_refresh as u64;
             }
         }
@@ -184,13 +186,13 @@ fn generated_formula_and_delta_streams_agree() {
 #[test]
 fn delete_then_reinsert_round_trips_through_the_cache() {
     let mut db = Database::from_facts("P(1, 2)\nP(2, 3)\nP(3, 3)\nQ(3)").unwrap();
-    let mut cache: PlanCache<Compiled> = PlanCache::new();
+    let cache: SharedPlanCache<Compiled> = SharedPlanCache::new();
     let text = "P(x, y) & Q(y)";
-    let cold = compile_and_eval_cached(text, &db, CompileOptions::default(), &mut cache).unwrap();
+    let cold = compile_and_eval_shared(text, &db, CompileOptions::default(), &cache).unwrap();
     assert_eq!(cold.relation.len(), 2);
 
     db.apply_delta("-P(2, 3)\n-Q(3)").unwrap();
-    let shrunk = compile_and_eval_cached(text, &db, CompileOptions::default(), &mut cache).unwrap();
+    let shrunk = compile_and_eval_shared(text, &db, CompileOptions::default(), &cache).unwrap();
     assert!(
         shrunk.result_refreshed,
         "delete delta must refresh, not recompute"
@@ -198,8 +200,7 @@ fn delete_then_reinsert_round_trips_through_the_cache() {
     assert_eq!(shrunk.relation.len(), 0);
 
     db.apply_delta("P(2, 3)\nQ(3)").unwrap();
-    let restored =
-        compile_and_eval_cached(text, &db, CompileOptions::default(), &mut cache).unwrap();
+    let restored = compile_and_eval_shared(text, &db, CompileOptions::default(), &cache).unwrap();
     assert!(restored.result_refreshed, "reinsert delta must refresh too");
     assert_eq!(
         restored.relation, cold.relation,
@@ -214,15 +215,15 @@ fn delete_then_reinsert_round_trips_through_the_cache() {
 #[test]
 fn empty_and_unreferenced_deltas_keep_results_warm() {
     let mut db = Database::from_facts("P(1)\nP(2)\nR(7, 7)").unwrap();
-    let mut cache: PlanCache<Compiled> = PlanCache::new();
-    let cold = compile_and_eval_cached("P(x)", &db, CompileOptions::default(), &mut cache).unwrap();
+    let cache: SharedPlanCache<Compiled> = SharedPlanCache::new();
+    let cold = compile_and_eval_shared("P(x)", &db, CompileOptions::default(), &cache).unwrap();
     let v0 = db.version();
 
     // A net no-op delta: version does not move, the verbatim entry serves.
     let noop = db.apply_delta("P(1)\n-P(9)").unwrap();
     assert!(noop.is_empty());
     assert_eq!(db.version(), v0);
-    let warm = compile_and_eval_cached("P(x)", &db, CompileOptions::default(), &mut cache).unwrap();
+    let warm = compile_and_eval_shared("P(x)", &db, CompileOptions::default(), &cache).unwrap();
     assert!(warm.result_cached && !warm.result_refreshed);
 
     // A delta touching only `R`, which `P(x)` never reads: the version
@@ -231,7 +232,7 @@ fn empty_and_unreferenced_deltas_keep_results_warm() {
     db.apply_delta("R(8, 8)\n-R(7, 7)").unwrap();
     assert_ne!(db.version(), v0);
     let refreshed =
-        compile_and_eval_cached("P(x)", &db, CompileOptions::default(), &mut cache).unwrap();
+        compile_and_eval_shared("P(x)", &db, CompileOptions::default(), &cache).unwrap();
     assert!(
         refreshed.result_refreshed,
         "an unreferenced-table delta must refresh, never recompute"
@@ -252,9 +253,9 @@ fn empty_and_unreferenced_deltas_keep_results_warm() {
 #[test]
 fn budget_trips_agree_between_refresh_and_full_paths() {
     let mut db = Database::from_facts("P(1)\nP(2)\nP(3)").unwrap();
-    let mut cache: PlanCache<Compiled> = PlanCache::new();
+    let cache: SharedPlanCache<Compiled> = SharedPlanCache::new();
     let text = "P(x)";
-    let cold = compile_and_eval_cached(text, &db, CompileOptions::default(), &mut cache).unwrap();
+    let cold = compile_and_eval_shared(text, &db, CompileOptions::default(), &cache).unwrap();
     assert_eq!(cold.relation.len(), 3);
     db.apply_delta("P(4)").unwrap();
 
@@ -262,7 +263,7 @@ fn budget_trips_agree_between_refresh_and_full_paths() {
         budget: Budget::new().with_max_tuples(2),
         ..CompileOptions::default()
     };
-    let via_refresh = compile_and_eval_cached(text, &db, tight.clone(), &mut cache);
+    let via_refresh = compile_and_eval_shared(text, &db, tight.clone(), &cache);
     let via_full = compile_and_eval(text, &db, tight);
     assert!(
         matches!(via_refresh, Err(PipelineError::Budget(_))),
@@ -280,7 +281,7 @@ fn budget_trips_agree_between_refresh_and_full_paths() {
 
     // The abandoned refresh left the view intact: an unbounded serve now
     // refreshes and matches a from-scratch evaluation.
-    let ok = compile_and_eval_cached(text, &db, CompileOptions::default(), &mut cache).unwrap();
+    let ok = compile_and_eval_shared(text, &db, CompileOptions::default(), &cache).unwrap();
     assert!(ok.result_refreshed);
     assert_eq!(
         ok.relation,
@@ -358,7 +359,7 @@ fn randomized_interleavings_under_forced_partitions() {
     for seed in 0..20u64 {
         let mut rng = StdRng::seed_from_u64(0x9a37 ^ seed);
         let mut db = Database::random(&schema, &domain, 6, &mut rng);
-        let mut cache: PlanCache<Compiled> = PlanCache::new();
+        let cache: SharedPlanCache<Compiled> = SharedPlanCache::new();
         let opts = || CompileOptions {
             budget: Budget::new().with_partitions(3),
             ..CompileOptions::default()
@@ -370,7 +371,7 @@ fn randomized_interleavings_under_forced_partitions() {
                 continue;
             }
             let text = texts[rng.gen_range(0..texts.len())];
-            let out = compile_and_eval_cached(text, &db, opts(), &mut cache)
+            let out = compile_and_eval_shared(text, &db, opts(), &cache)
                 .unwrap_or_else(|e| panic!("seed {seed} step {step}: {e}"));
             let full = compile_and_eval(text, &db, opts())
                 .unwrap_or_else(|e| panic!("seed {seed} step {step} full: {e}"));

@@ -15,11 +15,12 @@ use rand::SeedableRng;
 use rcsafe::formula::generate::{random_allowed_formula, GenConfig};
 use rcsafe::formula::vars::rectified;
 use rcsafe::relalg::{
-    eval, eval_governed, optimize, plan_hash, simplify, EvalStats, PlanCache, RaExpr, SelPred,
+    eval, eval_traced, optimize, plan_hash, simplify, EvalStats, RaExpr, SelPred, SharedPlanCache,
+    Tracer,
 };
 use rcsafe::safety::corpus::{corpus, formula_of};
 use rcsafe::safety::pipeline::{
-    compile_and_eval_cached, compile_for, compile_with, CompileOptions, Compiled,
+    compile_and_eval_shared, compile_for, compile_with, CompileOptions, Compiled,
 };
 use rcsafe::{Budget, Database, Schema, Term, Value, Var};
 
@@ -78,8 +79,10 @@ fn assert_equivalent(heuristic: &Compiled, optimized: &Compiled, db: &Database, 
     let mut hs = EvalStats::default();
     let mut os = EvalStats::default();
     let budget = Budget::unlimited();
-    let h = eval_governed(&heuristic.expr, db, &mut hs, budget).expect("heuristic plan evaluates");
-    let o = eval_governed(&optimized.expr, db, &mut os, budget).expect("optimized plan evaluates");
+    let h = eval_traced(&heuristic.expr, db, &mut hs, budget, &mut Tracer::off())
+        .expect("heuristic plan evaluates");
+    let o = eval_traced(&optimized.expr, db, &mut os, budget, &mut Tracer::off())
+        .expect("optimized plan evaluates");
     assert_eq!(
         h, o,
         "{ctx}: optimized plan diverged\nheuristic: {}\noptimized: {}",
@@ -134,8 +137,14 @@ fn corpus_optimized_plans_survive_forced_partitioning() {
         for parts in 1..=4usize {
             let budget = Budget::new().with_partitions(parts);
             let mut stats = EvalStats::default();
-            let out = eval_governed(&optimized.expr, &db, &mut stats, &budget)
-                .expect("optimized plan evaluates under forced partitioning");
+            let out = eval_traced(
+                &optimized.expr,
+                &db,
+                &mut stats,
+                &budget,
+                &mut Tracer::off(),
+            )
+            .expect("optimized plan evaluates under forced partitioning");
             assert_eq!(
                 out, baseline,
                 "{}: optimized plan diverged at {parts} partition(s)",
@@ -160,7 +169,7 @@ fn corpus_optimized_plans_honor_cancelled_budgets() {
         budget.cancel_handle().cancel();
         for (name, compiled) in [("heuristic", &heuristic), ("optimized", &optimized)] {
             let mut stats = EvalStats::default();
-            let out = eval_governed(&compiled.expr, &db, &mut stats, &budget);
+            let out = eval_traced(&compiled.expr, &db, &mut stats, &budget, &mut Tracer::off());
             assert!(
                 out.is_err(),
                 "{}: {name} plan ignored a pre-cancelled budget",
@@ -251,7 +260,7 @@ proptest! {
         let baseline = eval(&heuristic.expr, &db).expect("heuristic plan evaluates");
         let budget = Budget::new().with_partitions(1 + (seed as usize % 4));
         let mut stats = EvalStats::default();
-        let partitioned = eval_governed(&optimized.expr, &db, &mut stats, &budget)
+        let partitioned = eval_traced(&optimized.expr, &db, &mut stats, &budget, &mut Tracer::off())
             .expect("optimized plan evaluates partitioned");
         prop_assert_eq!(partitioned, baseline);
     }
@@ -299,20 +308,20 @@ proptest! {
 #[test]
 fn feedback_epoch_fragments_plan_cache_but_not_answers() {
     let db = stats_db(42);
-    let mut cache: PlanCache<Compiled> = PlanCache::new();
+    let cache: SharedPlanCache<Compiled> = SharedPlanCache::new();
     let text = "A(x, y) & B(x, y)";
     let opts = CompileOptions::default;
 
-    let first = compile_and_eval_cached(text, &db, opts(), &mut cache).expect("first eval");
+    let first = compile_and_eval_shared(text, &db, opts(), &cache).expect("first eval");
     assert!(!first.plan_cached);
-    let warm = compile_and_eval_cached(text, &db, opts(), &mut cache).expect("warm eval");
+    let warm = compile_and_eval_shared(text, &db, opts(), &cache).expect("warm eval");
     assert!(warm.plan_cached, "same epoch must reuse the cached plan");
 
     // Feedback: pretend `explain analyze` observed this plan's true
     // cardinality. The epoch moves, so the next compile re-plans ...
     let moved = db.record_observed(plan_hash(&first.compiled.expr), first.relation.len() as u64);
     assert!(moved, "a fresh observation must move the epoch");
-    let replanned = compile_and_eval_cached(text, &db, opts(), &mut cache).expect("replanned eval");
+    let replanned = compile_and_eval_shared(text, &db, opts(), &cache).expect("replanned eval");
     assert!(
         !replanned.plan_cached,
         "an epoch move must miss the plan cache"
@@ -326,11 +335,11 @@ fn feedback_epoch_fragments_plan_cache_but_not_answers() {
         optimize: false,
         ..CompileOptions::default()
     };
-    let cold = compile_and_eval_cached(text, &db, off(), &mut cache).expect("optimizer-off eval");
+    let cold = compile_and_eval_shared(text, &db, off(), &cache).expect("optimizer-off eval");
     assert!(!cold.plan_cached);
     db.record_observed(7777, 3);
     let still_warm =
-        compile_and_eval_cached(text, &db, off(), &mut cache).expect("optimizer-off warm eval");
+        compile_and_eval_shared(text, &db, off(), &cache).expect("optimizer-off warm eval");
     assert!(
         still_warm.plan_cached,
         "optimizer-off plans must ignore the statistics epoch"

@@ -95,7 +95,7 @@ proptest! {
         let db = random_db_for(&f, seed + 11);
         let mut plain_stats = EvalStats::default();
         let plain = c
-            .run_with_stats(&db, &mut plain_stats)
+            .run_traced(&db, &mut plain_stats, Budget::unlimited(), &mut Tracer::off())
             .expect("untraced evaluation succeeds");
         let mut traced_stats = EvalStats::default();
         let mut tracer = Tracer::on();

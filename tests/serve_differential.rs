@@ -4,7 +4,7 @@
 //! JSON, and error attribution alike — over the whole paper corpus.
 //!
 //! The identity holds by construction (server and local callers share one
-//! serving path, [`compile_and_eval_shared`] / [`compile_and_eval_cached`]
+//! serving path, [`compile_and_eval_shared`] / [`compile_and_eval_shared`]
 //! through `compile_and_eval_in`, and [`Response::encode`] is canonical);
 //! these tests keep that construction honest end to end, TCP included.
 //!
@@ -19,13 +19,13 @@ use rc_serve::{
     Client, QueryOk, Request, Response, Server, ServerConfig, WireError, WireLimits, WireStats,
 };
 use rcsafe::relalg::govern::Resource;
-use rcsafe::safety::anyrc::compile_and_eval_any_cached;
+use rcsafe::safety::anyrc::compile_and_eval_any_shared;
 use rcsafe::safety::corpus::{corpus, formula_of, PaperFormula};
 use rcsafe::safety::dom_baseline::eval_brute_force;
 use rcsafe::safety::pipeline::{
-    compile_and_eval_cached, compile_and_eval_traced, CompileOptions, Compiled,
+    compile_and_eval_shared, compile_and_eval_traced, CompileOptions, Compiled,
 };
-use rcsafe::{Budget, Database, PipelineError, PlanCache, Schema, Value};
+use rcsafe::{Budget, Database, PipelineError, Schema, SharedPlanCache, Value};
 
 /// A reproducible database over an entry's inferred schema (seed 0 is the
 /// empty database, so boolean/vacuous answers exercise the arity-0 codec).
@@ -63,9 +63,9 @@ fn expected_query(
     text: &str,
     db: &Database,
     opts: CompileOptions,
-    cache: &mut PlanCache<Compiled>,
+    cache: &SharedPlanCache<Compiled>,
 ) -> Response {
-    match compile_and_eval_cached(text, db, opts, cache) {
+    match compile_and_eval_shared(text, db, opts, cache) {
         Ok(out) => Response::Query(QueryOk {
             version: db.version(),
             plan_cached: out.plan_cached,
@@ -88,9 +88,9 @@ fn expected_any(
     text: &str,
     db: &Database,
     opts: CompileOptions,
-    cache: &mut PlanCache<Compiled>,
+    cache: &SharedPlanCache<Compiled>,
 ) -> Response {
-    match compile_and_eval_any_cached(text, db, opts, cache) {
+    match compile_and_eval_any_shared(text, db, opts, cache) {
         Ok(out) => Response::Query(QueryOk {
             version: db.version(),
             plan_cached: out.plan_cached,
@@ -121,10 +121,9 @@ fn served_query_responses_are_byte_identical_across_the_corpus() {
             let (_server, mut client) = start(&db);
             // A fresh local cache mirrors the server's fresh shared cache:
             // both are cold on the first round, warm on the second.
-            let mut cache: PlanCache<Compiled> = PlanCache::new();
+            let cache: SharedPlanCache<Compiled> = SharedPlanCache::new();
             for round in ["cold", "warm"] {
-                let expected =
-                    expected_query(entry.text, &db, CompileOptions::default(), &mut cache);
+                let expected = expected_query(entry.text, &db, CompileOptions::default(), &cache);
                 let got = client
                     .query(entry.text)
                     .unwrap_or_else(|e| panic!("{}: transport failure: {e}", entry.id));
@@ -217,9 +216,9 @@ fn served_any_responses_are_byte_identical_and_match_the_oracle() {
         for seed in [0u64, 3] {
             let db = db_for(&entry, seed);
             let (_server, mut client) = start(&db);
-            let mut cache: PlanCache<Compiled> = PlanCache::new();
+            let cache: SharedPlanCache<Compiled> = SharedPlanCache::new();
             for round in ["cold", "warm"] {
-                let expected = expected_any(entry.text, &db, CompileOptions::default(), &mut cache);
+                let expected = expected_any(entry.text, &db, CompileOptions::default(), &cache);
                 let got = client
                     .any(entry.text)
                     .unwrap_or_else(|e| panic!("{}: transport failure: {e}", entry.id));
@@ -279,6 +278,44 @@ fn served_any_responses_are_byte_identical_and_match_the_oracle() {
     );
 }
 
+/// With `eqreduce off` a wide-sense evaluable formula is outside every
+/// class the pipeline compiles, so the `any` verb must serve it through
+/// the safe pair — byte-identical to in-process serving under the same
+/// options, cold and warm, with the oracle's finite part — rather than
+/// reject it.
+#[test]
+fn any_without_equality_reduction_serves_wide_sense_formulas() {
+    let text = "Q(y, y) & (x = y | P(x))";
+    let db = Database::from_facts("Q(1, 1)\nQ(2, 2)\nP(7)").unwrap();
+    let (_server, mut client) = start(&db);
+    let opts = CompileOptions {
+        equality_reduction: false,
+        ..CompileOptions::default()
+    };
+    let cache: SharedPlanCache<Compiled> = SharedPlanCache::new();
+    for round in ["cold", "warm"] {
+        let expected = expected_any(text, &db, opts.clone(), &cache);
+        let req = Request {
+            eqreduce: false,
+            ..Request::any(text)
+        };
+        let got = client.request(&req).expect("transport");
+        assert_eq!(
+            got.encode(),
+            expected.encode(),
+            "{round}: any wire bytes diverge from in-process serving"
+        );
+        match got {
+            Response::Query(ok) => {
+                let oracle = eval_brute_force(&rcsafe::parse(text).unwrap(), &db);
+                assert_eq!(ok.relation, oracle, "{round}: finite part");
+                assert_eq!(ok.any_infinite, Some(false), "{round}: no stars");
+            }
+            other => panic!("{round}: expected a safe-pair answer, got {other:?}"),
+        }
+    }
+}
+
 /// Budget trips must survive serialization byte-for-byte, and the client
 /// must be able to reconstruct the exact [`BudgetExceeded`] — stage,
 /// resource, limit, and consumption — the pipeline reported in-process.
@@ -329,8 +366,8 @@ fn budget_error_attribution_survives_the_wire_byte_for_byte() {
         };
         // The in-process reference runs the same cold cached-serving path
         // the server uses.
-        let mut cache: PlanCache<Compiled> = PlanCache::new();
-        let err = compile_and_eval_cached(text, &db, opts, &mut cache)
+        let cache: SharedPlanCache<Compiled> = SharedPlanCache::new();
+        let err = compile_and_eval_shared(text, &db, opts, &cache)
             .expect_err("the cap is below the answer size; the budget must trip");
         let in_proc = match &err {
             PipelineError::Budget(b) => *b,

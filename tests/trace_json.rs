@@ -2,7 +2,7 @@
 //!
 //! The workspace is dependency-free, so `PipelineTrace::to_json` and the
 //! bench emitters build JSON by hand. These tests feed their output — and
-//! the committed `TRACE_corpus.json` artifact — through a strict
+//! the `TRACE_corpus.json` artifact — through a strict
 //! recursive-descent JSON parser that rejects unescaped control
 //! characters, bad escapes, trailing garbage, and unbalanced structure.
 //! Operator labels embed `Symbol` names, so predicates named with quotes,
@@ -10,6 +10,7 @@
 
 use rcsafe::relalg::trace::json_str;
 use rcsafe::relalg::{eval_traced, EvalStats, Tracer};
+use rcsafe::safety::corpus::trace_artifact;
 use rcsafe::safety::pipeline::{compile_and_eval_traced, CompileOptions};
 use rcsafe::{Budget, Database, RaExpr, Relation, Term};
 use std::collections::BTreeMap;
@@ -331,11 +332,12 @@ fn pipeline_trace_json_parses_strictly() {
     check_span(parsed.get("eval").unwrap());
 }
 
-/// The committed `TRACE_corpus.json` artifact must stay strictly valid.
+/// The `TRACE_corpus.json` artifact (what `trace_export` writes with its
+/// default corpus id and seed) must stay strictly valid. It is built in
+/// process, so the test needs no generated file on disk.
 #[test]
 fn committed_trace_corpus_parses_strictly() {
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/TRACE_corpus.json");
-    let text = std::fs::read_to_string(path).expect("TRACE_corpus.json exists at the repo root");
+    let (_, text) = trace_artifact("ex9.2-row2", 7).expect("the default corpus entry exists");
     let parsed = parse_json(&text).expect("strict parse of TRACE_corpus.json");
     for key in ["corpus_id", "seed", "ok", "trace"] {
         assert!(parsed.get(key).is_some(), "missing {key}");
