@@ -50,37 +50,41 @@
 //! with a result-equality assert, both Estimator prices, and the
 //! saturation report's rule-application count landing in the JSON.
 //!
-//! With `TRACE_GATE=1` the binary instead runs a fast CI gate: paired
-//! tracing-off overhead only, exiting nonzero when the median reaches 1%
-//! (and leaving `BENCH_eval.json` untouched). With `CACHE_GATE=1` it runs
-//! the repeated-query family only and exits nonzero unless every warm
-//! serve is a result-cache hit and the median speedup is at least 5x.
-//! With `PAR_GATE=1` it runs the partition family only: results must be
-//! bit-identical across policies and the sequential fallback must cost
-//! under 2% median; on hosts with at least 8 cores the median partitioned
-//! speedup must reach 2x (on smaller hosts the speedup gate is skipped —
-//! the auto policy refuses to split below the per-partition row floor, so
-//! there is nothing to measure). With `OPT_GATE=1` it runs the multi_join
-//! family only: the median cost-optimized speedup must reach 2x, every
-//! optimized plan must return exactly the heuristic plan's relation, and
-//! a paired re-check of the existing workload matrix must show the
-//! optimizer regressing no query by 5% or more. With `IVM_GATE=1` it runs
-//! the update_trickle family only: every warm re-serve after a one-row
-//! `apply_delta` must take the view-refresh path, and the median speedup
-//! over the full re-evaluation fallback must reach 10x. With `ANY_GATE=1`
-//! it runs the safe-pair acceptance check: every classifier-rejected
-//! corpus formula must be served by `compile_and_eval_any_shared`
-//! byte-identical to the brute-force active-domain oracle — in process
-//! *and* over the `any` wire verb, with the infiniteness flags surviving
-//! the round trip.
-//! With `EGRAPH_GATE=1` it runs the equality-saturation acceptance gate:
-//! every corpus formula must serve bit-identical answers (and
-//! infiniteness flags) under `planner=cost` and `planner=saturate`, the
-//! Estimator must price the saturated plan at or below the cost plan on
-//! every multi_join / standard-matrix / rewrite workload, the rewrite
-//! family's median measured speedup must reach 1.2x, and a paired
-//! re-check must show saturation regressing no multi_join or standard
-//! workload by 5% or more.
+//! `bench_eval gates` instead runs the acceptance gates of the `GATES`
+//! table, one after another, and exits nonzero if any failed (each gate
+//! reports its own failure, so one run names every failing gate; none
+//! touches `BENCH_eval.json`):
+//!
+//! * **par** — results bit-identical across partition policies and the
+//!   sequential fallback under 2% median; on hosts with at least 8 cores
+//!   the median partitioned speedup reaches 2x (on smaller hosts that leg
+//!   is skipped — the auto policy refuses to split below the
+//!   per-partition row floor, so there is nothing to measure);
+//! * **trace** — paired tracing-off overhead below 1% median;
+//! * **cache** — every warm repeated-query serve is a result-cache hit,
+//!   median speedup at least 5x;
+//! * **opt** — median cost-optimized multi_join speedup at least 2x, every
+//!   optimized plan returning exactly the heuristic plan's relation, and
+//!   a paired re-check of the standard matrix regressing no query by 5%
+//!   or more;
+//! * **ivm** — every warm re-serve after a one-row `apply_delta` takes the
+//!   view-refresh path, median speedup over full re-evaluation at least
+//!   10x;
+//! * **any** — every corpus formula, classifier-rejected ones included,
+//!   served by `compile_and_eval_any_shared` byte-identical to the
+//!   brute-force active-domain oracle, in process *and* over the `any`
+//!   wire verb, with the infiniteness flags surviving the round trip;
+//! * **egraph** — on every compiled corpus plan, the saturated plan
+//!   evaluates bit-identical to the served answer; the Estimator prices
+//!   the saturated plan at or below the cost plan on every multi_join /
+//!   standard-matrix / rewrite workload; the rewrite family's median
+//!   measured speedup reaches 1.2x; and a paired re-check shows
+//!   saturation regressing no multi_join or standard workload by 5% or
+//!   more.
+//!
+//! ```sh
+//! cargo run --release -p rc-bench --bin bench_eval -- gates
+//! ```
 //!
 //! An **any_query** family rides along in the default run: cold and warm
 //! safe-pair serving latency for classifier-rejected formulas (both legs
@@ -98,8 +102,10 @@
 //! The inputs are deterministic (`i mod k` patterns, no RNG), so tuple
 //! counts are exactly reproducible; only wall times vary by machine.
 
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 use rc_bench::Table;
-use rc_formula::{Term, Value, Var};
+use rc_formula::{Formula, Term, Value, Var};
 use rc_relalg::trace::json_str;
 use rc_relalg::{
     eval, eval_baseline, eval_shared, eval_traced, optimize, partition_count, saturate_governed,
@@ -107,8 +113,10 @@ use rc_relalg::{
     RelationBuilder, SelPred, SharedPlanCache, Tracer,
 };
 use rc_safety::anyrc::compile_and_eval_any_shared;
-use rc_safety::pipeline::{compile_and_eval_shared, CompileOptions, Compiled, PlannerMode};
+use rc_safety::corpus::{corpus, formula_of};
+use rc_safety::pipeline::{compile_and_eval_shared, compile_for, CompileOptions, Compiled};
 use std::hint::black_box;
+use std::process::ExitCode;
 use std::time::{Duration, Instant};
 
 /// Binary relation {(i, i mod key) : i < n} — join fan-out n/key per key.
@@ -261,10 +269,9 @@ fn op_self_times(span: &OpSpan, out: &mut Vec<(String, u64, usize)>) {
     }
 }
 
-/// `TRACE_GATE=1` mode: fast paired check that disabled tracing costs less
-/// than 1% median, across the workload matrix at reduced sizes. Exits
-/// nonzero on failure; never touches `BENCH_eval.json`.
-fn run_trace_gate() {
+/// The `trace` gate: fast paired check that disabled tracing costs less
+/// than 1% median, across the workload matrix at reduced sizes.
+fn trace_gate() -> Result<(), String> {
     let samples = 25;
     let mut overheads: Vec<f64> = Vec::new();
     for &n in &[2_000usize, 10_000] {
@@ -279,9 +286,9 @@ fn run_trace_gate() {
     let median = overheads[overheads.len() / 2];
     println!("median tracing-off overhead: {median:+.2}% (gate < 1%)");
     if median >= 1.0 {
-        eprintln!("TRACE GATE FAILED: disabled tracing costs {median:.2}% >= 1%");
-        std::process::exit(1);
+        return Err(format!("disabled tracing costs {median:.2}% >= 1%"));
     }
+    Ok(())
 }
 
 /// Large-join database for the partition family: both sides far above the
@@ -385,11 +392,10 @@ fn bench_partition_workload(
     }
 }
 
-/// `PAR_GATE=1` mode: bit-identity and fallback overhead are enforced on
+/// The `par` gate: bit-identity and fallback overhead are enforced on
 /// every host; the 2x median speedup only where the auto policy actually
-/// partitions (>= 8 cores). Exits nonzero on failure; never touches
-/// `BENCH_eval.json`.
-fn run_partition_gate() {
+/// partitions (>= 8 cores).
+fn partition_gate() -> Result<(), String> {
     let samples = 9;
     let n = 150_000;
     let db = partition_db(n);
@@ -424,18 +430,17 @@ fn run_partition_gate() {
          this host: {cores}), median fallback overhead: {median_fallback:+.2}% (gate < 2%)"
     );
     if !all_identical {
-        eprintln!("PAR GATE FAILED: partitioned and sequential results are not bit-identical");
-        std::process::exit(1);
+        return Err("partitioned and sequential results are not bit-identical".into());
     }
     if median_fallback >= 2.0 {
-        eprintln!("PAR GATE FAILED: sequential fallback costs {median_fallback:.2}% >= 2% median");
-        std::process::exit(1);
+        return Err(format!(
+            "sequential fallback costs {median_fallback:.2}% >= 2% median"
+        ));
     }
     if cores >= 8 && median_speedup < 2.0 {
-        eprintln!(
-            "PAR GATE FAILED: median partitioned speedup {median_speedup:.2}x < 2x at {cores} cores"
-        );
-        std::process::exit(1);
+        return Err(format!(
+            "median partitioned speedup {median_speedup:.2}x < 2x at {cores} cores"
+        ));
     }
     if cores < 8 {
         println!(
@@ -443,6 +448,7 @@ fn run_partition_gate() {
              overhead were still enforced)"
         );
     }
+    Ok(())
 }
 
 /// Database for the multi_join planner family: chain, star, and cycle
@@ -630,12 +636,11 @@ fn multi_join_json(r: &MultiJoinRecord) -> String {
     )
 }
 
-/// `OPT_GATE=1` mode: the cost-based planner must deliver a median 2x
+/// The `opt` gate: the cost-based planner must deliver a median 2x
 /// speedup on the multi_join family (answers verified identical), and a
 /// paired re-check of the standard workload matrix must show no query
 /// where the optimized plan is 5% or more slower than the heuristic one.
-/// Exits nonzero on failure; never touches `BENCH_eval.json`.
-fn run_opt_gate() {
+fn opt_gate() -> Result<(), String> {
     let samples = 7;
     let db = multi_join_db();
     let mut speedups: Vec<f64> = Vec::new();
@@ -658,8 +663,7 @@ fn run_opt_gate() {
     let median = speedups[speedups.len() / 2];
     println!("median multi_join speedup: {median:.2}x (gate >= 2x)");
     if median < 2.0 {
-        eprintln!("OPT GATE FAILED: median multi_join speedup {median:.2}x < 2x");
-        std::process::exit(1);
+        return Err(format!("median multi_join speedup {median:.2}x < 2x"));
     }
     // No-regression leg: on the standard matrix the cost-based plan must
     // not lose to the heuristic plan by 5% or more on any query.
@@ -696,9 +700,11 @@ fn run_opt_gate() {
     }
     println!("worst optimizer regression: {worst:+.2}% (gate < 5%)");
     if worst >= 5.0 {
-        eprintln!("OPT GATE FAILED: optimizer regresses an existing workload by {worst:.2}% >= 5%");
-        std::process::exit(1);
+        return Err(format!(
+            "optimizer regresses an existing workload by {worst:.2}% >= 5%"
+        ));
     }
+    Ok(())
 }
 
 /// Shared-leg fixture for the rewrite family. `FA`/`FB` are small probe
@@ -848,13 +854,35 @@ fn rewrite_json(r: &RewriteRecord) -> String {
     )
 }
 
-/// `EGRAPH_GATE=1` mode: the acceptance gate for the equality-saturation
-/// planner. Four legs, all required:
+/// A corpus formula's database: seed 0 declares its schema's relations
+/// empty; any other seed fills them at random over `1..=4` plus the
+/// formula's constants.
+fn corpus_db(f: &Formula, seed: u64) -> Database {
+    let schema = rc_formula::Schema::infer(f).expect("corpus schema");
+    if seed == 0 {
+        let mut d = Database::new();
+        for (p, ar) in schema.predicates() {
+            d.declare(p, ar);
+        }
+        return d;
+    }
+    let mut domain: Vec<Value> = (1..=4).map(Value::int).collect();
+    for c in f.constants() {
+        if !domain.contains(&c) {
+            domain.push(c);
+        }
+    }
+    Database::random(&schema, &domain, 6, &mut StdRng::seed_from_u64(seed))
+}
+
+/// The `egraph` gate: the acceptance gate for the equality-saturation
+/// layer ([`saturate_governed`], a library pass off the serving path).
+/// Four legs, all required:
 ///
-/// 1. **corpus bit-identity** — every corpus formula (recognized or
-///    classifier-rejected, over declared-empty and seeded random
-///    databases) serves byte-identical relations and infiniteness flags
-///    under `planner=cost` and `planner=saturate`;
+/// 1. **corpus bit-identity** — on every corpus plan the pipeline
+///    compiles (over declared-empty and seeded random databases),
+///    saturating the plan yields a plan that evaluates byte-identical to
+///    the served answer;
 /// 2. **never costlier** — the [`Estimator`] prices the saturated plan at
 ///    or below the cost planner's plan on every multi_join,
 ///    standard-matrix, and rewrite workload (the extraction guard's
@@ -865,77 +893,39 @@ fn rewrite_json(r: &RewriteRecord) -> String {
 ///    losing to the cost plan by 5% or more on no multi_join or
 ///    standard-matrix workload (identical plans are skipped — timing the
 ///    same plan twice only measures machine noise).
-///
-/// Exits nonzero on failure; never touches `BENCH_eval.json`.
-fn run_egraph_gate() {
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
-    use rc_safety::corpus::{corpus, formula_of};
-
-    // Leg 1: corpus bit-identity across planner modes. The `any` entry
-    // point serves every corpus formula (safe-pair legs inherit the
-    // planner), so one loop covers recognized and rejected shapes alike.
-    let saturate_opts = || CompileOptions {
-        planner: PlannerMode::Saturate,
+fn egraph_gate() -> Result<(), String> {
+    // Leg 1: the plan saturated is the unoptimized one — the optimize
+    // stage's own input — so the seed optimizer, every rule and
+    // extraction all run on real pipeline output.
+    let unoptimized = CompileOptions {
+        optimize: false,
         ..CompileOptions::default()
     };
     let mut served = 0u32;
-    for entry in corpus() {
-        let f = formula_of(&entry);
-        let schema = rc_formula::Schema::infer(&f).expect("corpus schema");
-        let mut domain: Vec<Value> = (1..=4).map(Value::int).collect();
-        for c in f.constants() {
-            if !domain.contains(&c) {
-                domain.push(c);
-            }
-        }
+    for entry in corpus().iter().filter(|e| e.wide_sense) {
+        let f = formula_of(entry);
         for seed in [0u64, 3] {
-            let db = if seed == 0 {
-                let mut d = Database::new();
-                for (p, ar) in schema.predicates() {
-                    d.declare(p, ar);
-                }
-                d
-            } else {
-                Database::random(&schema, &domain, 6, &mut StdRng::seed_from_u64(seed))
-            };
-            let cost_cache: SharedPlanCache<Compiled> = SharedPlanCache::new();
-            let sat_cache: SharedPlanCache<Compiled> = SharedPlanCache::new();
-            let cost = compile_and_eval_any_shared(
-                entry.text,
-                &db,
-                CompileOptions::default(),
-                &cost_cache,
-            );
-            let sat = compile_and_eval_any_shared(entry.text, &db, saturate_opts(), &sat_cache);
-            let (cost, sat) = match (cost, sat) {
-                (Ok(c), Ok(s)) => (c, s),
-                (c, s) => {
-                    eprintln!(
-                        "EGRAPH GATE FAILED: {} (seed {seed}) planner modes disagree on \
-                         servability: cost {:?} vs saturate {:?}",
-                        entry.id,
-                        c.is_ok(),
-                        s.is_ok()
-                    );
-                    std::process::exit(1);
-                }
-            };
-            if cost.answer.finite != sat.answer.finite
-                || cost.answer.maybe_infinite != sat.answer.maybe_infinite
-                || cost.answer.per_variable != sat.answer.per_variable
-            {
-                eprintln!(
-                    "EGRAPH GATE FAILED: {} (seed {seed}) saturated serving diverges from \
-                     the cost planner (relation or infiniteness flags)",
-                    entry.id
-                );
-                std::process::exit(1);
+            let db = corpus_db(&f, seed);
+            let ctx = format!("{} (seed {seed})", entry.id);
+            let cache: SharedPlanCache<Compiled> = SharedPlanCache::new();
+            let out = compile_and_eval_shared(entry.text, &db, CompileOptions::default(), &cache)
+                .map_err(|e| format!("{ctx} errors: {e}"))?;
+            let plan = compile_for(&f, unoptimized.clone(), &db)
+                .map_err(|e| format!("{ctx} does not compile: {e}"))?
+                .expr;
+            let (saturated, _) = saturate_governed(&plan, &db, Budget::unlimited())
+                .expect("unlimited budget never trips");
+            let answer =
+                eval(&saturated, &db).map_err(|e| format!("{ctx} saturated plan errors: {e}"))?;
+            if answer != out.relation {
+                return Err(format!(
+                    "{ctx} saturated plan diverges from the served answer"
+                ));
             }
             served += 1;
         }
     }
-    println!("egraph gate: {served} corpus serves bit-identical across planner modes");
+    println!("egraph gate: {served} corpus plans saturate bit-identical to the served answer");
 
     // Leg 2: the saturated plan is never priced above the cost plan.
     type Family = (&'static str, Database, Vec<(&'static str, RaExpr)>);
@@ -953,11 +943,10 @@ fn run_egraph_gate() {
                 .expect("unlimited budget never trips");
             let (c, s) = (est.cost(&cost_plan), est.cost(&sat_plan));
             if s > c {
-                eprintln!(
-                    "EGRAPH GATE FAILED: {family}/{name}: saturated plan priced at {s:.0} \
-                     above the cost plan's {c:.0}"
-                );
-                std::process::exit(1);
+                return Err(format!(
+                    "{family}/{name}: saturated plan priced at {s:.0} above the cost \
+                     plan's {c:.0}"
+                ));
             }
             ratios.push(s / c.max(1.0));
         }
@@ -990,8 +979,7 @@ fn run_egraph_gate() {
     let median = speedups[speedups.len() / 2];
     println!("median rewrite speedup: {median:.2}x (gate >= 1.2x)");
     if median < 1.2 {
-        eprintln!("EGRAPH GATE FAILED: median rewrite speedup {median:.2}x < 1.2x");
-        std::process::exit(1);
+        return Err(format!("median rewrite speedup {median:.2}x < 1.2x"));
     }
 
     // Leg 4: saturation must not regress plans the cost planner already
@@ -1030,11 +1018,11 @@ fn run_egraph_gate() {
     }
     println!("worst saturation regression: {worst:+.2}% (gate < 5%)");
     if worst >= 5.0 {
-        eprintln!(
-            "EGRAPH GATE FAILED: saturation regresses an existing workload by {worst:.2}% >= 5%"
-        );
-        std::process::exit(1);
+        return Err(format!(
+            "saturation regresses an existing workload by {worst:.2}% >= 5%"
+        ));
     }
+    Ok(())
 }
 
 /// The repeated-query texts served through the full cached pipeline.
@@ -1120,10 +1108,9 @@ fn bench_repeated_query(
     }
 }
 
-/// `CACHE_GATE=1` mode: the repeated-query family must hit the result
-/// cache on every warm serve with a median speedup of at least 5x. Exits
-/// nonzero on failure; never touches `BENCH_eval.json`.
-fn run_cache_gate() {
+/// The `cache` gate: the repeated-query family must hit the result cache
+/// on every warm serve with a median speedup of at least 5x.
+fn cache_gate() -> Result<(), String> {
     let samples = 15;
     let n = 10_000;
     let db = db_for(n);
@@ -1145,13 +1132,12 @@ fn run_cache_gate() {
     let median = speedups[speedups.len() / 2];
     println!("median repeated-query speedup: {median:.1}x (gate >= 5x, all warm serves must hit)");
     if !all_hit {
-        eprintln!("CACHE GATE FAILED: a warm serve missed the result cache");
-        std::process::exit(1);
+        return Err("a warm serve missed the result cache".into());
     }
     if median < 5.0 {
-        eprintln!("CACHE GATE FAILED: median warm speedup {median:.1}x < 5x");
-        std::process::exit(1);
+        return Err(format!("median warm speedup {median:.1}x < 5x"));
     }
+    Ok(())
 }
 
 /// The update-trickle texts: warm standing queries re-served after a
@@ -1244,12 +1230,11 @@ fn bench_update_trickle(samples: usize, name: &'static str, text: &str, n: usize
     }
 }
 
-/// `IVM_GATE=1` mode: warm re-serves after one-row deltas must take the
+/// The `ivm` gate: warm re-serves after one-row deltas must take the
 /// refresh path and beat the full-re-evaluation fallback by at least 10x
 /// median. The delta work is O(|Δ|·fanout), independent of core count, so
-/// unlike `PAR_GATE` this gate applies on any host. Exits nonzero on
-/// failure; never touches `BENCH_eval.json`.
-fn run_ivm_gate() {
+/// unlike the `par` speedup leg this gate applies on any host.
+fn ivm_gate() -> Result<(), String> {
     let samples = 15;
     let n = 50_000;
     let mut speedups: Vec<f64> = Vec::new();
@@ -1273,13 +1258,12 @@ fn run_ivm_gate() {
          (gate >= 10x, every delta serve must refresh)"
     );
     if !all_refreshed {
-        eprintln!("IVM GATE FAILED: a delta serve fell back to full re-evaluation");
-        std::process::exit(1);
+        return Err("a delta serve fell back to full re-evaluation".into());
     }
     if median < 10.0 {
-        eprintln!("IVM GATE FAILED: median refresh speedup {median:.1}x < 10x");
-        std::process::exit(1);
+        return Err(format!("median refresh speedup {median:.1}x < 10x"));
     }
+    Ok(())
 }
 
 /// The any_query texts: classifier-rejected formulas over the bench
@@ -1346,16 +1330,12 @@ fn bench_any_query(
     }
 }
 
-/// `ANY_GATE=1` mode: the safe-pair acceptance check. Every corpus
-/// formula — and in particular every classifier-rejected one — must be
-/// served by `compile_and_eval_any_shared` with a finite part
-/// byte-identical to the brute-force active-domain oracle, both in process
-/// and over the `any` wire verb, with the infiniteness flags surviving the
-/// round trip. Exits nonzero on failure; never touches `BENCH_eval.json`.
-fn run_any_gate() {
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
-    use rc_safety::corpus::{corpus, formula_of};
+/// The `any` gate: the safe-pair acceptance check. Every corpus formula —
+/// and in particular every classifier-rejected one — must be served by
+/// `compile_and_eval_any_shared` with a finite part byte-identical to the
+/// brute-force active-domain oracle, both in process and over the `any`
+/// wire verb, with the infiniteness flags surviving the round trip.
+fn any_gate() -> Result<(), String> {
     use rc_safety::dom_baseline::eval_brute_force;
     use rc_safety::pipeline::{classify, SafetyClass};
     use rc_serve::{Client, Response, Server, ServerConfig};
@@ -1366,41 +1346,16 @@ fn run_any_gate() {
         let f = formula_of(&entry);
         let rejected = classify(&f) == SafetyClass::NotRecognized;
         for seed in [0u64, 3] {
-            let schema = rc_formula::Schema::infer(&f).expect("corpus schema");
-            let mut domain: Vec<Value> = (1..=4).map(Value::int).collect();
-            for c in f.constants() {
-                if !domain.contains(&c) {
-                    domain.push(c);
-                }
-            }
-            let db = if seed == 0 {
-                let mut d = Database::new();
-                for (p, ar) in schema.predicates() {
-                    d.declare(p, ar);
-                }
-                d
-            } else {
-                Database::random(&schema, &domain, 6, &mut StdRng::seed_from_u64(seed))
-            };
+            let db = corpus_db(&f, seed);
             let cache: SharedPlanCache<Compiled> = SharedPlanCache::new();
-            let out = match compile_and_eval_any_shared(
-                entry.text,
-                &db,
-                CompileOptions::default(),
-                &cache,
-            ) {
-                Ok(o) => o,
-                Err(e) => {
-                    eprintln!("ANY GATE FAILED: {} (seed {seed}) errors: {e}", entry.id);
-                    std::process::exit(1);
-                }
-            };
+            let out =
+                compile_and_eval_any_shared(entry.text, &db, CompileOptions::default(), &cache)
+                    .map_err(|e| format!("{} (seed {seed}) errors: {e}", entry.id))?;
             if out.answer.finite != eval_brute_force(&f, &db) {
-                eprintln!(
-                    "ANY GATE FAILED: {} (seed {seed}) diverges from the brute-force oracle",
+                return Err(format!(
+                    "{} (seed {seed}) diverges from the brute-force oracle",
                     entry.id
-                );
-                std::process::exit(1);
+                ));
             }
             let server = Server::start(db.clone(), ServerConfig::default()).expect("bind server");
             let mut client = Client::connect(server.local_addr()).expect("connect client");
@@ -1410,20 +1365,18 @@ fn run_any_gate() {
                         || ok.any_infinite != Some(out.answer.maybe_infinite)
                         || ok.any_infinite_vars.as_deref() != Some(&out.answer.per_variable)
                     {
-                        eprintln!(
-                            "ANY GATE FAILED: {} (seed {seed}) wire round-trip diverges \
+                        return Err(format!(
+                            "{} (seed {seed}) wire round-trip diverges \
                              (relation or infiniteness flags)",
                             entry.id
-                        );
-                        std::process::exit(1);
+                        ));
                     }
                 }
                 other => {
-                    eprintln!(
-                        "ANY GATE FAILED: {} (seed {seed}) unexpected response: {other:?}",
+                    return Err(format!(
+                        "{} (seed {seed}) unexpected response: {other:?}",
                         entry.id
-                    );
-                    std::process::exit(1);
+                    ));
                 }
             }
             checked += 1;
@@ -1437,39 +1390,83 @@ fn run_any_gate() {
          infiniteness flags intact over the wire"
     );
     if via_pair == 0 {
-        eprintln!("ANY GATE FAILED: no classifier-rejected entries exercised");
-        std::process::exit(1);
+        return Err("no classifier-rejected entries exercised".into());
+    }
+    Ok(())
+}
+
+/// One acceptance gate: its name, the bounds it enforces, and the check,
+/// which returns `Err` naming the bound missed.
+type Gate = (&'static str, &'static str, fn() -> Result<(), String>);
+
+/// Every acceptance gate, in the order `bench_eval gates` runs them. `par`
+/// runs first: its fallback-overhead leg compares two paths within a few
+/// percent and is the one most sensitive to the heap state earlier gates
+/// leave behind.
+const GATES: [Gate; 7] = [
+    (
+        "par",
+        "bit-identical results, fallback < 2%; 2x speedup at >= 8 cores",
+        partition_gate,
+    ),
+    ("trace", "tracing off costs < 1% median, paired", trace_gate),
+    (
+        "cache",
+        "warm serves hit; median repeated-query speedup >= 5x",
+        cache_gate,
+    ),
+    (
+        "opt",
+        "median multi_join speedup >= 2x; no workload regresses >= 5%",
+        opt_gate,
+    ),
+    (
+        "ivm",
+        "every trickle re-serve refreshes; median speedup over full re-eval >= 10x",
+        ivm_gate,
+    ),
+    (
+        "any",
+        "every corpus formula serves byte-identical to the oracle, flags surviving the wire",
+        any_gate,
+    ),
+    (
+        "egraph",
+        "corpus plans saturate bit-identical; saturated plans never priced above cost plans; \
+         median rewrite speedup >= 1.2x; no workload regresses >= 5%",
+        egraph_gate,
+    ),
+];
+
+/// Run every gate and fail if any failed; a failing (or panicking) gate
+/// never hides the ones after it. Never touches `BENCH_eval.json`.
+fn run_gates() -> ExitCode {
+    let mut failed = Vec::new();
+    for (name, bounds, gate) in GATES {
+        println!("==> {name} gate ({bounds})");
+        let outcome = std::panic::catch_unwind(gate).unwrap_or_else(|_| Err("panicked".into()));
+        if let Err(why) = outcome {
+            eprintln!("{name} gate FAILED: {why}");
+            failed.push(name);
+        }
+    }
+    if failed.is_empty() {
+        println!("all {} gates passed", GATES.len());
+        ExitCode::SUCCESS
+    } else {
+        eprintln!("failed gates: {}", failed.join(", "));
+        ExitCode::FAILURE
     }
 }
 
-fn main() {
-    if std::env::var("TRACE_GATE").as_deref() == Ok("1") {
-        run_trace_gate();
-        return;
-    }
-    if std::env::var("CACHE_GATE").as_deref() == Ok("1") {
-        run_cache_gate();
-        return;
-    }
-    if std::env::var("PAR_GATE").as_deref() == Ok("1") {
-        run_partition_gate();
-        return;
-    }
-    if std::env::var("OPT_GATE").as_deref() == Ok("1") {
-        run_opt_gate();
-        return;
-    }
-    if std::env::var("IVM_GATE").as_deref() == Ok("1") {
-        run_ivm_gate();
-        return;
-    }
-    if std::env::var("ANY_GATE").as_deref() == Ok("1") {
-        run_any_gate();
-        return;
-    }
-    if std::env::var("EGRAPH_GATE").as_deref() == Ok("1") {
-        run_egraph_gate();
-        return;
+fn main() -> ExitCode {
+    match std::env::args().nth(1).as_deref() {
+        None => {}
+        Some("gates") => return run_gates(),
+        Some(other) => {
+            eprintln!("usage: bench_eval [gates] (unknown argument `{other}`)");
+            return ExitCode::from(2);
+        }
     }
     let sizes = [2_000usize, 10_000, 50_000];
     // Overheads in the low percent range need more repetitions than the
@@ -1904,4 +1901,5 @@ fn main() {
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_eval.json");
     std::fs::write(path, &json).expect("write BENCH_eval.json");
     println!("wrote {path}");
+    ExitCode::SUCCESS
 }

@@ -29,7 +29,7 @@
 //! each complete their full request sequence with zero protocol errors
 //! and a bounded p99; the concurrent-vs-serial throughput gate
 //! (>= 5x warm-cache) applies only on hosts with at least 8 cores — like
-//! `PAR_GATE`, smaller hosts print a hardware-gated note instead, since a
+//! the `par` gate of `bench_eval gates`, smaller hosts print a hardware-gated note instead, since a
 //! thread-per-connection server cannot multiply throughput without cores
 //! to run the connections on.
 

@@ -74,56 +74,32 @@ pub fn classify(f: &Formula) -> SafetyClass {
         renamed = rectified(f);
         &renamed
     };
+    find_evaluable(f, true).map_or(SafetyClass::NotRecognized, |(class, _)| class)
+}
+
+/// The one classification decision, on a rectified formula: allowed →
+/// evaluable → (when `equality_reduction` is on) wide-sense evaluable.
+/// Returns the class and, for a wide-sense formula, its equality-reduced
+/// form — the evaluable form the rest of the pipeline compiles (otherwise
+/// that is `f` itself) — or the violation `f` itself fails on.
+fn find_evaluable(
+    f: &Formula,
+    equality_reduction: bool,
+) -> Result<(SafetyClass, Option<Formula>), SafetyViolation> {
     if is_allowed(f) {
-        SafetyClass::Allowed
-    } else if check_evaluable(f).is_ok() {
-        SafetyClass::Evaluable
-    } else if crate::eqreduce::is_wide_sense_evaluable(f) {
-        SafetyClass::WideSenseEvaluable
-    } else {
-        SafetyClass::NotRecognized
+        return Ok((SafetyClass::Allowed, None));
     }
-}
-
-/// Which planner runs in the Optimize stage when `optimize` is on and a
-/// database is available.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
-pub enum PlannerMode {
-    /// The cost-based pass ([`rc_relalg::optimize()`]): simplification,
-    /// DP/greedy join reordering, cost-gated projection placement.
-    #[default]
-    Cost,
-    /// Equality saturation ([`rc_relalg::saturate_governed`]) on top of
-    /// the cost-based pass: the plan is loaded into an e-graph, enriched
-    /// by the documented rewrite-rule registry (`docs/REWRITES.md`), and
-    /// the cheapest equivalent is extracted — never costlier than what
-    /// [`PlannerMode::Cost`] would have chosen.
-    Saturate,
-}
-
-impl PlannerMode {
-    /// The wire/REPL token naming this mode (`cost` / `saturate`).
-    pub fn token(self) -> &'static str {
-        match self {
-            PlannerMode::Cost => "cost",
-            PlannerMode::Saturate => "saturate",
+    let violation = match check_evaluable(f) {
+        Ok(()) => return Ok((SafetyClass::Evaluable, None)),
+        Err(v) => v,
+    };
+    if equality_reduction {
+        let r = equality_reduce(f);
+        if check_evaluable(&r).is_ok() {
+            return Ok((SafetyClass::WideSenseEvaluable, Some(r)));
         }
     }
-
-    /// Parse a wire/REPL token back into a mode.
-    pub fn parse(s: &str) -> Option<PlannerMode> {
-        match s {
-            "cost" => Some(PlannerMode::Cost),
-            "saturate" => Some(PlannerMode::Saturate),
-            _ => None,
-        }
-    }
-}
-
-impl fmt::Display for PlannerMode {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.token())
-    }
+    Err(violation)
 }
 
 /// Options for [`compile`].
@@ -141,8 +117,6 @@ pub struct CompileOptions {
     pub budget: Budget,
     /// Resolution of the Fig. 5 conjunction nondeterminism in `genify`.
     pub generator_choice: ConjunctChoice,
-    /// Which planner runs when `optimize` is on and a database is present.
-    pub planner: PlannerMode,
 }
 
 impl Default for CompileOptions {
@@ -152,7 +126,6 @@ impl Default for CompileOptions {
             optimize: true,
             budget: Budget::new(),
             generator_choice: ConjunctChoice::Smallest,
-            planner: PlannerMode::Cost,
         }
     }
 }
@@ -170,10 +143,6 @@ impl CompileOptions {
         match self.generator_choice {
             ConjunctChoice::Smallest => 0u8.hash(&mut h),
             ConjunctChoice::First => 1u8.hash(&mut h),
-        }
-        match self.planner {
-            PlannerMode::Cost => 0u8.hash(&mut h),
-            PlannerMode::Saturate => 1u8.hash(&mut h),
         }
         h.finish()
     }
@@ -281,22 +250,14 @@ pub fn compile_for(
     compile_traced_for(f, opts, Some(db), &mut StageTracer::off())
 }
 
-/// [`compile_with`] recording one [`rc_relalg::StageSpan`] per pipeline
-/// stage into `st` (node counts, wall time, and a deterministic stage
-/// detail such as `class=` or `repairs=`). On an error the open span is
-/// left for [`StageTracer::into_trace`] to seal as failed, so a partial
-/// trace names the stage that tripped.
-pub fn compile_traced(
-    f: &Formula,
-    opts: CompileOptions,
-    st: &mut StageTracer,
-) -> Result<Compiled, CompileError> {
-    compile_traced_for(f, opts, None, st)
-}
-
-/// The full pipeline: [`compile_traced`] plus an optional target database
-/// enabling the cost-based planner (see [`compile_for`]).
-pub fn compile_traced_for(
+/// The full pipeline: [`compile_with`] plus an optional target database
+/// enabling the cost-based planner (see [`compile_for`]), recording one
+/// [`rc_relalg::StageSpan`] per pipeline stage into `st` (node counts,
+/// wall time, and a deterministic stage detail such as `class=` or
+/// `repairs=`). On an error the open span is left for
+/// [`StageTracer::into_trace`] to seal as failed, so a partial trace names
+/// the stage that tripped.
+pub(crate) fn compile_traced_for(
     f: &Formula,
     opts: CompileOptions,
     db: Option<&Database>,
@@ -307,34 +268,15 @@ pub fn compile_traced_for(
 
     // Stage 1: find an evaluable form.
     st.begin(Stage::Classify, original.node_count() as u64);
-    let (class, evaluable_form, reduced) = match check_evaluable(&original) {
-        Ok(()) => {
-            let class = if is_allowed(&original) {
-                SafetyClass::Allowed
-            } else {
-                SafetyClass::Evaluable
-            };
-            (class, original.clone(), None)
-        }
-        Err(violation) => {
-            if opts.equality_reduction {
-                let r = equality_reduce(&original);
-                if check_evaluable(&r).is_ok() {
-                    (SafetyClass::WideSenseEvaluable, r.clone(), Some(r))
-                } else {
-                    return Err(CompileError::NotSafe(violation));
-                }
-            } else {
-                return Err(CompileError::NotSafe(violation));
-            }
-        }
-    };
+    let (class, reduced) =
+        find_evaluable(&original, opts.equality_reduction).map_err(CompileError::NotSafe)?;
+    let evaluable_form = reduced.as_ref().unwrap_or(&original);
     st.end(evaluable_form.node_count() as u64, format!("class={class}"));
 
     // Stage 2: evaluable → allowed (Alg. 8.1).
     st.begin(Stage::Genify, evaluable_form.node_count() as u64);
     let (allowed_form, genify_report) =
-        genify_reported(&evaluable_form, opts.generator_choice, &opts.budget)?;
+        genify_reported(evaluable_form, opts.generator_choice, &opts.budget)?;
     st.end(
         allowed_form.node_count() as u64,
         format!("repairs={}", genify_report.repairs),
@@ -360,27 +302,19 @@ pub fn compile_traced_for(
     // target database's statistics are in reach, plain simplification
     // otherwise), then hash-cons into a DAG so genify/RANF-duplicated
     // subplans are physically shared (the memoizing evaluator computes
-    // each shared node once; the stage detail reports the chosen planner
+    // each shared node once; the stage detail reports the pass that ran
     // and how many tree nodes the interner folded away).
     st.begin(Stage::Optimize, raw.node_count() as u64);
     let expr = impose_columns(raw, &columns, &ranf_form)?;
-    let (expr, planner, detail) = match (opts.optimize, db) {
-        (true, Some(db)) if opts.planner == PlannerMode::Saturate => {
-            let (expr, report) = rc_relalg::saturate_governed(&expr, db, &opts.budget)
-                .map_err(CompileError::Budget)?;
-            (expr, "saturate", format!(" egraph={report}"))
-        }
-        (true, Some(db)) => (rc_relalg::optimize(&expr, db), "cost", String::new()),
-        (true, None) => (rc_relalg::simplify(&expr), "simplify", String::new()),
-        (false, _) => (expr, "off", String::new()),
+    let (expr, planner) = match (opts.optimize, db) {
+        (true, Some(db)) => (rc_relalg::optimize(&expr, db), "cost"),
+        (true, None) => (rc_relalg::simplify(&expr), "simplify"),
+        (false, _) => (expr, "off"),
     };
     let (expr, intern_stats) = rc_relalg::intern(&expr);
     st.end(
         expr.node_count() as u64,
-        format!(
-            "planner={planner} shared={}{detail}",
-            intern_stats.shared_nodes()
-        ),
+        format!("planner={planner} shared={}", intern_stats.shared_nodes()),
     );
 
     Ok(Compiled {

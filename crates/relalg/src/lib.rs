@@ -37,7 +37,8 @@
 //! * [`egraph`] — equality saturation over plans: e-classes with
 //!   union-find merging, a documented registry of soundness-proven
 //!   rewrites (`docs/REWRITES.md`), budget-bounded saturation, and
-//!   cost-based extraction that is never costlier than the input;
+//!   cost-based extraction that is never costlier than the input (not on
+//!   the serving path; see the module docs);
 //! * display impls that mimic the paper's `π/σ/⋈/∪/diff` notation;
 //! * [`io`] — fact-text and TSV import/export.
 
@@ -62,7 +63,7 @@ pub mod trace;
 pub use baseline::eval_baseline;
 pub use cache::{CacheStats, SharedPlanCache, CACHE_SHARDS};
 pub use database::Database;
-pub use egraph::{rules, saturate, saturate_governed, RewriteRule, SaturationReport};
+pub use egraph::{rules, saturate_governed, RewriteRule, SaturationReport};
 pub use eval::{eval, eval_shared, eval_traced, EvalError, EvalStats};
 pub use expr::{RaExpr, SelPred};
 pub use govern::{Budget, BudgetExceeded, CancelHandle, FaultInjector, Governor, Resource, Stage};

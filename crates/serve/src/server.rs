@@ -373,7 +373,6 @@ fn request_options(req: &Request, fault: Option<&FaultInjector>) -> CompileOptio
         equality_reduction: req.eqreduce,
         optimize: req.optimize,
         budget,
-        planner: req.planner,
         ..CompileOptions::default()
     }
 }

@@ -40,30 +40,18 @@ cargo test -q --test prop_anyrc
 echo "==> unicode lexing property suite"
 cargo test -q --test prop_unicode
 
+echo "==> benchmark harness builds and passes its tests against this tree"
+# perfbench/ is a standalone package calling the workspace crates by
+# path; building it here makes a renamed or removed function it uses fail
+# now rather than when the benchmark next runs.
+cargo test -q --release --manifest-path perfbench/Cargo.toml
+
 echo "==> example smoke tests"
 cargo run -q --example quickstart > /dev/null
 cargo run -q --example suppliers_parts > /dev/null
 
-echo "==> trace overhead gate (tracing off must cost < 1% median, paired)"
-TRACE_GATE=1 cargo run -q --release -p rc-bench --bin bench_eval
-
-echo "==> cache gate (warm serves must hit; median repeated-query speedup >= 5x)"
-CACHE_GATE=1 cargo run -q --release -p rc-bench --bin bench_eval
-
-echo "==> partition gate (bit-identical results, fallback < 2%; 2x speedup at >= 8 cores)"
-PAR_GATE=1 cargo run -q --release -p rc-bench --bin bench_eval
-
-echo "==> optimizer gate (median multi_join speedup >= 2x; no family regresses > 5%)"
-OPT_GATE=1 cargo run -q --release -p rc-bench --bin bench_eval
-
-echo "==> IVM gate (every trickle re-serve refreshes; median speedup over full re-eval >= 10x)"
-IVM_GATE=1 cargo run -q --release -p rc-bench --bin bench_eval
-
-echo "==> any gate (every corpus formula — rejected included — serves via the safe pair, byte-identical to the oracle, flags surviving the wire)"
-ANY_GATE=1 cargo run -q --release -p rc-bench --bin bench_eval
-
-echo "==> egraph gate (corpus bit-identical across planner modes; saturated plans never priced above cost plans; median rewrite speedup >= 1.2x; no workload regresses >= 5%)"
-EGRAPH_GATE=1 cargo run -q --release -p rc-bench --bin bench_eval
+echo "==> bench_eval gate table (trace, cache, par, opt, ivm, any, egraph; one run reports every failing gate)"
+cargo run -q --release -p rc-bench --bin bench_eval -- gates
 
 echo "==> rewrite catalog <-> registry drift check"
 # Every rule registered in the e-graph must have a catalog section in

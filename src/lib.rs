@@ -41,7 +41,7 @@ pub use rc_safety::anyrc::{
 };
 pub use rc_safety::pipeline::{
     classify, compile, compile_and_eval, compile_and_eval_shared, compile_and_eval_traced, query,
-    CachedQueryOutput, Compiled, PipelineError, PlannerMode, QueryOutput, SafetyClass,
+    CachedQueryOutput, Compiled, PipelineError, QueryOutput, SafetyClass,
 };
 pub use rc_safety::{
     equality_reduce, genify, is_allowed, is_evaluable, is_ranf, is_wide_sense_evaluable, ranf,

@@ -59,6 +59,15 @@ fn classify_agrees_with_paper_flags() {
                 assert!(!e.wide_sense, "{}: classified not-recognized", e.id)
             }
         }
+        // The compiler reaches the same classification decision.
+        if e.wide_sense {
+            assert_eq!(
+                compile(&f).map(|c| c.class),
+                Ok(class),
+                "{}: compile and classify disagree",
+                e.id
+            );
+        }
     }
 }
 

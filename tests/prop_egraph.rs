@@ -1,11 +1,11 @@
-//! Differential suite for the equality-saturation planner: the saturated
-//! plan must be *observationally identical* to the cost-based plan and
-//! the heuristic plan — same relation, same answer-column order — across
-//! the paper corpus and generated allowed formulas, including under
-//! forced partitioning and budget cancellation. Plus the per-rule
-//! soundness properties (each registered rewrite preserves answers on
-//! random databases over its trigger shape) and the
-//! extraction-never-costlier invariant backing the `EGRAPH_GATE` leg.
+//! Differential suite for equality saturation: saturating a compiled plan
+//! must be *observationally identical* to the cost-based plan and the
+//! heuristic plan — same relation, same answer-column order — across the
+//! paper corpus and generated allowed formulas, including under forced
+//! partitioning and budget cancellation. Plus the per-rule soundness
+//! properties (each registered rewrite preserves answers on random
+//! databases over its trigger shape) and the extraction-never-costlier
+//! invariant backing the `egraph` gate of `bench_eval gates`.
 
 #![recursion_limit = "512"]
 
@@ -17,14 +17,13 @@ use rand::Rng;
 use rand::SeedableRng;
 use rcsafe::formula::generate::{random_allowed_formula, GenConfig};
 use rcsafe::formula::vars::rectified;
+use rcsafe::relalg::govern::Stage;
 use rcsafe::relalg::{
-    eval, eval_traced, optimize, plan_hash, rules, saturate, saturate_governed, simplify,
-    Estimator, EvalStats, RaExpr, SelPred, SharedPlanCache, Tracer,
+    eval, eval_traced, optimize, plan_hash, rules, saturate_governed, simplify, Estimator,
+    EvalStats, RaExpr, SelPred, Tracer,
 };
 use rcsafe::safety::corpus::{corpus, formula_of};
-use rcsafe::safety::pipeline::{
-    compile_and_eval_shared, compile_for, compile_with, CompileOptions, Compiled, PlannerMode,
-};
+use rcsafe::safety::pipeline::{compile_for, compile_with, CompileOptions, Compiled};
 use rcsafe::{Budget, Database, Schema, Term, Value, Var};
 
 /// A reproducible database over a formula's inferred schema. Seed 0 is the
@@ -48,31 +47,31 @@ fn db_for(f: &rcsafe::Formula, seed: u64) -> Database {
     }
 }
 
-/// Compile `f` three ways: heuristic-only (no database statistics),
-/// cost-based against `db`, and equality-saturated against `db`.
-fn three_plans(f: &rcsafe::Formula, db: &Database) -> Option<(Compiled, Compiled, Compiled)> {
+/// Unbounded saturation of `e` against `db`'s statistics.
+fn saturate_unlimited(e: &RaExpr, db: &Database) -> RaExpr {
+    saturate_governed(e, db, Budget::unlimited())
+        .expect("unlimited budget never trips")
+        .0
+}
+
+/// Plan `f` three ways: heuristic-only (no database statistics),
+/// cost-based against `db`, and the cost-based plan equality-saturated
+/// against `db`.
+fn three_plans(f: &rcsafe::Formula, db: &Database) -> Option<(Compiled, Compiled, RaExpr)> {
     let heuristic = compile_with(f, CompileOptions::default()).ok()?;
     let cost = compile_for(f, CompileOptions::default(), db).ok()?;
-    let saturated = compile_for(
-        f,
-        CompileOptions {
-            planner: PlannerMode::Saturate,
-            ..CompileOptions::default()
-        },
-        db,
-    )
-    .ok()?;
+    let saturated = saturate_unlimited(&cost.expr, db);
     Some((heuristic, cost, saturated))
 }
 
-/// All three compiled forms must expose the same answer columns and
-/// produce the identical relation on `db`.
-fn assert_three_way(h: &Compiled, c: &Compiled, s: &Compiled, db: &Database, ctx: &str) {
+/// All three plans must expose the same answer columns and produce the
+/// identical relation on `db`.
+fn assert_three_way(h: &Compiled, c: &Compiled, s: &RaExpr, db: &Database, ctx: &str) {
     assert_eq!(h.columns, c.columns, "{ctx}: cost planner changed columns");
-    assert_eq!(h.columns, s.columns, "{ctx}: saturation changed columns");
+    assert_eq!(h.columns, s.cols(), "{ctx}: saturation changed columns");
     let baseline = eval(&h.expr, db).expect("heuristic plan evaluates");
     let costed = eval(&c.expr, db).expect("cost plan evaluates");
-    let saturated = eval(&s.expr, db).expect("saturated plan evaluates");
+    let saturated = eval(s, db).expect("saturated plan evaluates");
     assert_eq!(
         baseline, costed,
         "{ctx}: cost plan diverged\nheuristic: {}\ncost: {}",
@@ -80,8 +79,8 @@ fn assert_three_way(h: &Compiled, c: &Compiled, s: &Compiled, db: &Database, ctx
     );
     assert_eq!(
         baseline, saturated,
-        "{ctx}: saturated plan diverged\nheuristic: {}\nsaturated: {}",
-        h.expr, s.expr
+        "{ctx}: saturated plan diverged\nheuristic: {}\nsaturated: {s}",
+        h.expr
     );
 }
 
@@ -101,10 +100,9 @@ fn corpus_saturated_plans_match_heuristic_and_cost_plans() {
             assert_three_way(&h, &c, &s, &db, &ctx);
             let est = Estimator::new(&db);
             assert!(
-                est.cost(&s.expr) <= est.cost(&c.expr),
-                "{ctx}: saturation chose a costlier plan\ncost: {}\nsaturated: {}",
-                c.expr,
-                s.expr
+                est.cost(&s) <= est.cost(&c.expr),
+                "{ctx}: saturation chose a costlier plan\ncost: {}\nsaturated: {s}",
+                c.expr
             );
         }
     }
@@ -125,7 +123,7 @@ fn corpus_saturated_plans_survive_forced_partitioning() {
         for parts in 1..=4usize {
             let budget = Budget::new().with_partitions(parts);
             let mut stats = EvalStats::default();
-            let out = eval_traced(&s.expr, &db, &mut stats, &budget, &mut Tracer::off())
+            let out = eval_traced(&s, &db, &mut stats, &budget, &mut Tracer::off())
                 .expect("saturated plan evaluates under forced partitioning");
             assert_eq!(
                 out, baseline,
@@ -136,30 +134,24 @@ fn corpus_saturated_plans_survive_forced_partitioning() {
     }
 }
 
-/// A budget cancelled before compilation starts stops the saturating
-/// pipeline in the Optimize stage — it errors rather than returning a
-/// plan built under a dead budget.
+/// A budget cancelled before saturation starts stops it in the Optimize
+/// stage — saturating a compiled corpus plan errors rather than returning
+/// a plan built under a dead budget.
 #[test]
 fn corpus_saturation_honors_cancelled_budgets() {
     for entry in corpus().iter().filter(|e| e.wide_sense).take(6) {
         let f = formula_of(entry);
         let db = db_for(&f, 7);
+        let compiled = compile_for(&f, CompileOptions::default(), &db).expect("corpus compiles");
         let budget = Budget::new();
         budget.cancel_handle().cancel();
-        let out = compile_for(
-            &f,
-            CompileOptions {
-                planner: PlannerMode::Saturate,
-                budget,
-                ..CompileOptions::default()
-            },
-            &db,
-        );
+        let out = saturate_governed(&compiled.expr, &db, &budget);
         assert!(
             out.is_err(),
-            "{}: saturating compile ignored a pre-cancelled budget",
+            "{}: saturation ignored a pre-cancelled budget",
             entry.id
         );
+        assert_eq!(out.unwrap_err().stage, Stage::Optimize, "{}", entry.id);
     }
 }
 
@@ -241,7 +233,7 @@ fn check_generated_formula(seed: u64) {
     let baseline = eval(&h.expr, &db).expect("heuristic plan evaluates");
     let budget = Budget::new().with_partitions(1 + (seed as usize % 4));
     let mut stats = EvalStats::default();
-    let partitioned = eval_traced(&s.expr, &db, &mut stats, &budget, &mut Tracer::off())
+    let partitioned = eval_traced(&s, &db, &mut stats, &budget, &mut Tracer::off())
         .expect("saturated plan evaluates partitioned");
     assert_eq!(
         partitioned, baseline,
@@ -257,7 +249,7 @@ fn check_never_costlier(seed: u64) {
     let mut rng = StdRng::seed_from_u64(seed);
     let e = random_plan(&mut rng, 4);
     let db = stats_db(seed);
-    let s = saturate(&e, &db);
+    let s = saturate_unlimited(&e, &db);
     assert_eq!(
         s.cols(),
         e.cols(),
@@ -286,8 +278,8 @@ fn check_hash_stable(seed: u64) {
     let mut rng = StdRng::seed_from_u64(seed);
     let e = random_plan(&mut rng, 3);
     let db = stats_db(seed);
-    let once = saturate(&e, &db);
-    let twice = saturate(&once, &db);
+    let once = saturate_unlimited(&e, &db);
+    let twice = saturate_unlimited(&once, &db);
     assert_eq!(
         plan_hash(&twice),
         plan_hash(&once),
@@ -544,29 +536,4 @@ fn every_registered_rule_has_a_soundness_shape() {
         );
     }
     assert_eq!(covered.len(), rules().len());
-}
-
-/// The planner mode fragments the plan-cache key: a plan compiled under
-/// `planner=cost` is never served to a `planner=saturate` request, and
-/// both answer identically.
-#[test]
-fn planner_mode_fragments_plan_cache_but_not_answers() {
-    let db = stats_db(42);
-    let cache: SharedPlanCache<Compiled> = SharedPlanCache::new();
-    let text = "A(x, y) & B(x, y)";
-
-    let cost = compile_and_eval_shared(text, &db, CompileOptions::default(), &cache).expect("cost");
-    assert!(!cost.plan_cached);
-    let sat_opts = || CompileOptions {
-        planner: PlannerMode::Saturate,
-        ..CompileOptions::default()
-    };
-    let saturated = compile_and_eval_shared(text, &db, sat_opts(), &cache).expect("saturated");
-    assert!(
-        !saturated.plan_cached,
-        "a cost-mode plan must not serve a saturate-mode request"
-    );
-    assert_eq!(cost.relation, saturated.relation);
-    let warm = compile_and_eval_shared(text, &db, sat_opts(), &cache).expect("warm");
-    assert!(warm.plan_cached, "same mode must reuse the cached plan");
 }
