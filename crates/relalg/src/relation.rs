@@ -43,7 +43,7 @@ use std::cmp::Ordering;
 use std::collections::BTreeSet;
 use std::fmt;
 use std::hash::{Hash, Hasher};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// A database tuple.
 pub type Tuple = Box<[Value]>;
@@ -90,10 +90,18 @@ pub const MIN_PARTITION_ROWS: usize = 4096;
 /// layout (the golden-trace suite pins partition cardinalities under an
 /// explicit [`crate::govern::Budget::with_partitions`] override instead, so
 /// its snapshots stay machine-independent).
+///
+/// The core count is read once per process, at first use, and then fixed:
+/// `available_parallelism` reads cgroup files on every call, which cost
+/// more than a whole operator on paper-scale tables. Later changes to the
+/// process's CPU affinity or cgroup quota are therefore not seen.
 pub fn partition_count(rows: usize) -> usize {
-    let cores = std::thread::available_parallelism()
-        .map(usize::from)
-        .unwrap_or(1);
+    static CORES: OnceLock<usize> = OnceLock::new();
+    let cores = *CORES.get_or_init(|| {
+        std::thread::available_parallelism()
+            .map(usize::from)
+            .unwrap_or(1)
+    });
     cores.min(rows / MIN_PARTITION_ROWS).max(1)
 }
 

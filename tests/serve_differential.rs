@@ -25,7 +25,7 @@ use rcsafe::safety::dom_baseline::eval_brute_force;
 use rcsafe::safety::pipeline::{
     compile_and_eval_shared, compile_and_eval_traced, CompileOptions, Compiled,
 };
-use rcsafe::{Budget, Database, PipelineError, Schema, SharedPlanCache, Value};
+use rcsafe::{Budget, Database, PipelineError, SafetyClass, Schema, SharedPlanCache, Value};
 
 /// A reproducible database over an entry's inferred schema (seed 0 is the
 /// empty database, so boolean/vacuous answers exercise the arity-0 codec).
@@ -314,6 +314,62 @@ fn any_without_equality_reduction_serves_wide_sense_formulas() {
             other => panic!("{round}: expected a safe-pair answer, got {other:?}"),
         }
     }
+}
+
+/// A warm `any` of a wide-sense formula is served from the plan its cold
+/// request cached under the query's own key: it reports `plan_cached`,
+/// answers exactly like the cold request (same class, columns, relation
+/// and infiniteness), and its wire bytes match in-process serving.
+#[test]
+fn warm_any_of_fig6_is_served_from_its_cached_plan() {
+    let entry = corpus()
+        .into_iter()
+        .find(|e| e.id == "fig6")
+        .expect("fig6 in the corpus");
+    let db = db_for(&entry, 3);
+    let cache: SharedPlanCache<Compiled> = SharedPlanCache::new();
+    let serve = || compile_and_eval_any_shared(entry.text, &db, CompileOptions::default(), &cache);
+    let cold = serve().expect("cold any");
+    let warm = serve().expect("warm any");
+    assert!(!cold.plan_cached && cold.answer.class == SafetyClass::WideSenseEvaluable);
+    assert!(warm.plan_cached && warm.result_cached);
+    assert_eq!(warm.answer.class, cold.answer.class);
+    assert_eq!(warm.answer.columns, cold.answer.columns);
+    assert_eq!(warm.answer.finite, cold.answer.finite);
+    assert_eq!(
+        (warm.answer.maybe_infinite, &warm.answer.per_variable),
+        (cold.answer.maybe_infinite, &cold.answer.per_variable)
+    );
+
+    let (_server, mut client) = start(&db);
+    let wire_cache: SharedPlanCache<Compiled> = SharedPlanCache::new();
+    let mut answers = Vec::new();
+    for round in ["cold", "warm"] {
+        let expected = expected_any(entry.text, &db, CompileOptions::default(), &wire_cache);
+        let got = client.any(entry.text).expect("transport");
+        assert_eq!(
+            got.encode(),
+            expected.encode(),
+            "{round}: any wire bytes diverge from in-process serving"
+        );
+        match got {
+            Response::Query(ok) => {
+                assert_eq!(ok.plan_cached, round == "warm", "{round}: plan_cached");
+                answers.push(Response::Query(QueryOk {
+                    plan_cached: false,
+                    result_cached: false,
+                    stats: WireStats::default(),
+                    ..ok
+                }));
+            }
+            other => panic!("{round}: expected an answer, got {other:?}"),
+        }
+    }
+    assert_eq!(
+        answers[0].encode(),
+        answers[1].encode(),
+        "the warm answer's bytes differ from the cold answer's"
+    );
 }
 
 /// Budget trips must survive serialization byte-for-byte, and the client
