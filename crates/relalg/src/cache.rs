@@ -47,7 +47,10 @@ use std::sync::{Arc, Mutex, MutexGuard};
 pub struct CacheStats {
     /// Plan lookups served from the cache.
     pub plan_hits: u64,
-    /// Plan lookups that had to compile.
+    /// Plan lookups that had to compile, including those whose compile
+    /// then failed. An `any` request that falls through to the safe pair
+    /// makes one such lookup under its query's own key before its two
+    /// legs' lookups, so a warm stream of such requests reads 2 hits in 3.
     pub plan_misses: u64,
     /// Result lookups served from the cache (same plan, same db version).
     pub result_hits: u64,
